@@ -518,7 +518,8 @@ rnrTrace(const std::string &app, const std::string &input,
     std::printf("simulating %s with event tracing...\n",
                 cfg.key().c_str());
     TraceCollector tr(cfg.cores, ring_capacity);
-    const ExperimentResult res = runExperimentTraced(cfg, &tr);
+    const ExperimentResult res =
+        runExperimentInstrumented(cfg, &tr, nullptr, nullptr);
 
     const ReplayDiagnostics diag = buildReplayDiagnostics(tr);
     std::printf("\nper-window replay diagnostics (all iterations):\n%s",
@@ -626,7 +627,7 @@ attribCmd(const std::string &app, const std::string &input,
                  cfg.key().c_str());
     AttribCollector at;
     const ExperimentResult res =
-        runExperimentAttributed(cfg, nullptr, nullptr, &at);
+        runExperimentInstrumented(cfg, nullptr, nullptr, &at);
     const AttribBlob &ab = *res.attrib;
 
     // The stdout contract: exactly one line, the rnr-attrib-v1 object

@@ -1,17 +1,9 @@
 #include "ckpt/checkpoint.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <string_view>
 
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
-namespace fs = std::filesystem;
+#include "harness/publish.h"
 
 namespace rnr {
 namespace ckpt {
@@ -199,57 +191,13 @@ CkptIoResult
 writeSnapshotFile(const std::string &path,
                   const std::vector<std::uint8_t> &blob)
 {
-    std::error_code ec;
-    const fs::path target(path);
-    if (target.has_parent_path())
-        fs::create_directories(target.parent_path(), ec);
-
-#ifndef _WIN32
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    const int fd = ::open(tmp.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0)
-        return CkptIoResult::fail(CkptIoStatus::OpenFail,
-                                  tmp + ": " + std::strerror(errno));
-    std::size_t off = 0;
-    while (off < blob.size()) {
-        const ssize_t n =
-            ::write(fd, blob.data() + off, blob.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            const std::string why = std::strerror(errno);
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            return CkptIoResult::fail(CkptIoStatus::WriteFail,
-                                      tmp + ": " + why);
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-        const std::string why = std::strerror(errno);
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return CkptIoResult::fail(CkptIoStatus::WriteFail,
-                                  tmp + ": fsync: " + why);
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        const std::string why = std::strerror(errno);
-        ::unlink(tmp.c_str());
-        return CkptIoResult::fail(CkptIoStatus::WriteFail,
-                                  path + ": rename: " + why);
-    }
-#else
-    std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-    if (!outf)
-        return CkptIoResult::fail(CkptIoStatus::OpenFail, path);
-    outf.write(reinterpret_cast<const char *>(blob.data()),
-               static_cast<std::streamsize>(blob.size()));
-    if (!outf)
-        return CkptIoResult::fail(CkptIoStatus::WriteFail, path);
-#endif
+    std::string why;
+    if (!publishFile(path,
+                     std::string_view(
+                         reinterpret_cast<const char *>(blob.data()),
+                         blob.size()),
+                     &why))
+        return CkptIoResult::fail(CkptIoStatus::WriteFail, why);
     return {};
 }
 

@@ -180,8 +180,9 @@ class SnapshotReader
 CkptIoResult inspectSnapshotFile(const std::string &path,
                                  SnapshotInfo &out);
 
-/** Publishes @p blob at @p path with the store discipline: write to a
- *  process-unique temp file in the same directory, fsync, rename. */
+/** Publishes @p blob at @p path through publishFile (harness/publish.h):
+ *  unique temp file in the same directory, fsync, rename.  Any failure
+ *  is WriteFail with the failing step in the detail. */
 CkptIoResult writeSnapshotFile(const std::string &path,
                                const std::vector<std::uint8_t> &blob);
 

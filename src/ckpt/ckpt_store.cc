@@ -1,7 +1,5 @@
 #include "ckpt/ckpt_store.h"
 
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <system_error>
@@ -47,7 +45,7 @@ ckptMetrics()
 std::string
 slotName(const std::string &key, std::uint64_t window)
 {
-    return ckptHashName(key) + ".w" + std::to_string(window);
+    return keyHashName(key, kCkptFnvBasis) + ".w" + std::to_string(window);
 }
 
 std::string
@@ -65,15 +63,6 @@ addressKey(const SnapshotHeader &h)
 }
 
 } // namespace
-
-std::string
-ckptHashName(const std::string &key)
-{
-    const std::uint64_t h = fnv1a64(key.data(), key.size());
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
-    return buf;
-}
 
 CheckpointStore &
 CheckpointStore::instance()
@@ -104,9 +93,9 @@ CheckpointStore::snapshotPath(const std::string &key, std::uint64_t window)
 }
 
 bool
-CheckpointStore::openSnapshotLocked(const std::string &key,
-                                    std::uint64_t window,
-                                    std::vector<std::uint8_t> &blob)
+CheckpointStore::openSnapshot(const std::string &key,
+                              std::uint64_t window,
+                              std::vector<std::uint8_t> &blob)
 {
     const std::string path = snapshotPath(key, window);
     std::error_code ec;
@@ -150,65 +139,9 @@ CheckpointStore::acquire(const std::string &key, std::uint64_t window,
                          std::vector<std::uint8_t> &blob)
 {
     const std::string slot = slotName(key, window);
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        if (openSnapshotLocked(key, window, blob))
-            return Acquire::Hit;
-        if (!inflight_.insert(slot).second) {
-            // A thread of this process is already producing.
-            cv_.wait(lock);
-            continue;
-        }
-        // In-process owner; now contend with other *processes* (farm
-        // workers) for the same snapshot through an advisory flock.
-        std::error_code ec;
-        fs::create_directories(rootPath(), ec);
-        auto fl = std::make_unique<FileLock>(produceLockPath(slot),
-                                             FileLock::Mode::Try);
-        if (fl->held()) {
-            locks_[slot] = std::move(fl);
-            return Acquire::Owner;
-        }
-        // Another process holds the lock (or flock is unsupported).
-        // Wait without wedging this process's other threads: drop mu_,
-        // block on the lock, re-check from scratch.
-        inflight_.erase(slot);
-        cv_.notify_all();
-        lock.unlock();
-        FileLock waiter(produceLockPath(slot), FileLock::Mode::Block);
-        const bool waited = waiter.held();
-        waiter.release();
-        lock.lock();
-        if (!waited) {
-            // flock unsupported (exotic fs, Windows): degrade to the
-            // single-process guarantee and produce ourselves.
-            if (inflight_.insert(slot).second)
-                return Acquire::Owner;
-            cv_.wait(lock);
-        }
-        // Re-loop: the other process published (-> Hit) or abandoned
-        // (-> we become the owner on the next iteration).
-    }
-}
-
-void
-CheckpointStore::releaseOwnership(const std::string &slot)
-{
-    bool held_flock = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        held_flock = locks_.erase(slot) != 0; // drops the flock, if any
-        inflight_.erase(slot);
-    }
-    if (held_flock) {
-        // We held the flock, so no other process does: the lock file
-        // is ours to remove.  A waiter racing on the old inode at
-        // worst produces redundantly, and publish stays an atomic
-        // rename either way.
-        std::error_code ec;
-        fs::remove(produceLockPath(slot), ec);
-    }
-    cv_.notify_all();
+    return flight_.acquire(slot, produceLockPath(slot), [&] {
+        return openSnapshot(key, window, blob);
+    });
 }
 
 bool
@@ -218,7 +151,6 @@ CheckpointStore::publish(const std::string &key, std::uint64_t window,
     const std::string path = snapshotPath(key, window);
     const CkptIoResult r = writeSnapshotFile(path, blob);
     if (r.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
         ++saves_;
         if (obs::Counter *c = ckptMetrics().saves)
             c->add();
@@ -228,28 +160,26 @@ CheckpointStore::publish(const std::string &key, std::uint64_t window,
             .kv("path", path)
             .kv("why", r.message());
     }
-    releaseOwnership(slotName(key, window));
+    flight_.release(slotName(key, window));
     return r.ok();
 }
 
 void
 CheckpointStore::abandon(const std::string &key, std::uint64_t window)
 {
-    releaseOwnership(slotName(key, window));
+    flight_.release(slotName(key, window));
 }
 
 bool
 CheckpointStore::tryLoad(const std::string &key, std::uint64_t window,
                          std::vector<std::uint8_t> &blob)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return openSnapshotLocked(key, window, blob);
+    return flight_.locked([&] { return openSnapshot(key, window, blob); });
 }
 
 void
 CheckpointStore::invalidate(const std::string &key, std::uint64_t window)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::error_code ec;
     fs::remove(snapshotPath(key, window), ec);
     ++quarantines_;
@@ -260,42 +190,36 @@ CheckpointStore::invalidate(const std::string &key, std::uint64_t window)
 std::uint64_t
 CheckpointStore::warmups() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return warmups_;
 }
 
 std::uint64_t
 CheckpointStore::forks() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return forks_;
 }
 
 std::uint64_t
 CheckpointStore::saves() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return saves_;
 }
 
 std::uint64_t
 CheckpointStore::restores() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return restores_;
 }
 
 std::uint64_t
 CheckpointStore::quarantines() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return quarantines_;
 }
 
 void
 CheckpointStore::noteWarmup()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     ++warmups_;
     if (obs::Counter *c = ckptMetrics().warmups)
         c->add();
@@ -304,7 +228,6 @@ CheckpointStore::noteWarmup()
 void
 CheckpointStore::noteFork()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     ++forks_;
     if (obs::Counter *c = ckptMetrics().forks)
         c->add();
@@ -313,7 +236,6 @@ CheckpointStore::noteFork()
 void
 CheckpointStore::noteRestore()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     ++restores_;
     if (obs::Counter *c = ckptMetrics().restores)
         c->add();
@@ -322,9 +244,7 @@ CheckpointStore::noteRestore()
 void
 CheckpointStore::resetForTest()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight_.clear();
-    locks_.clear();
+    flight_.resetForTest();
     warmups_ = forks_ = saves_ = restores_ = quarantines_ = 0;
 }
 

@@ -21,14 +21,14 @@
  *   <hash16>.w<window>.ckpt   one rnr-ckpt-v1 blob
  *   <hash16>.w<window>.lock   advisory flock while producing
  *
- * Discipline (mirrors tracestore/trace_store.h):
+ * Discipline (harness/publish.h, docs/HARNESS.md §7):
  *  - single-flight production: concurrent experiments needing the same
- *    snapshot block on one producer — within a process via a condition
- *    variable, across processes (farm workers) via an advisory flock —
- *    so N workers warm up a shared workload once, not N times;
- *  - atomic publish: blobs are written to a process-unique temp file
- *    and renamed into place (ckpt::writeSnapshotFile), so readers
- *    never observe a torn snapshot;
+ *    snapshot block on one producer across threads and farm worker
+ *    processes (SingleFlight), so N workers warm up a shared workload
+ *    once, not N times;
+ *  - atomic publish: blobs go through publishFile
+ *    (ckpt::writeSnapshotFile), so readers never observe a torn
+ *    snapshot;
  *  - corrupt-entry tolerance: a snapshot that fails validation
  *    (magic/version/checksum/sections) is quarantined (removed) and
  *    re-produced, never fatal.
@@ -40,16 +40,12 @@
 #ifndef RNR_CKPT_CKPT_STORE_H
 #define RNR_CKPT_CKPT_STORE_H
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "harness/file_lock.h"
+#include "harness/publish.h"
 
 namespace rnr {
 namespace ckpt {
@@ -71,10 +67,9 @@ class CheckpointStore
     static std::string snapshotPath(const std::string &key,
                                     std::uint64_t window);
 
-    enum class Acquire {
-        Hit,   ///< @p blob filled with a validated snapshot.
-        Owner, ///< Caller must produce, then publish() or abandon().
-    };
+    /** Hit: @p blob filled with a validated snapshot.  Owner: caller
+     *  must produce, then publish() or abandon(). */
+    using Acquire = SingleFlight::Acquire;
 
     /**
      * Single-flight snapshot acquisition for (@p key, @p window).  A
@@ -129,25 +124,18 @@ class CheckpointStore
     CheckpointStore() = default;
 
     /** Reads + validates the snapshot; false = miss (with quarantine
-     *  on corruption).  Caller holds mu_. */
-    bool openSnapshotLocked(const std::string &key, std::uint64_t window,
-                            std::vector<std::uint8_t> &blob);
-    void releaseOwnership(const std::string &slot);
+     *  on corruption).  Runs under the flight mutex. */
+    bool openSnapshot(const std::string &key, std::uint64_t window,
+                      std::vector<std::uint8_t> &blob);
 
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::set<std::string> inflight_; ///< "<hash16>.w<window>" slots.
-    /** Cross-process production locks held by this process. */
-    std::map<std::string, std::unique_ptr<FileLock>> locks_;
-    std::uint64_t warmups_ = 0;
-    std::uint64_t forks_ = 0;
-    std::uint64_t saves_ = 0;
-    std::uint64_t restores_ = 0;
-    std::uint64_t quarantines_ = 0;
+    /** Slots are "<hash16>.w<window>", lock files "<slot>.lock". */
+    SingleFlight flight_;
+    std::atomic<std::uint64_t> warmups_{0};
+    std::atomic<std::uint64_t> forks_{0};
+    std::atomic<std::uint64_t> saves_{0};
+    std::atomic<std::uint64_t> restores_{0};
+    std::atomic<std::uint64_t> quarantines_{0};
 };
-
-/** File-name stem for @p key: 16 hex digits of FNV-1a64. */
-std::string ckptHashName(const std::string &key);
 
 } // namespace ckpt
 } // namespace rnr

@@ -73,11 +73,16 @@ struct CkptIoResult {
     }
 };
 
-/** FNV-1a 64-bit, the repo's standard content hash (trace store keys
- *  use the same function); doubles as the snapshot checksum. */
+/** Default basis of fnv1a64.  It is the standard FNV-1a offset basis
+ *  (14695981039346656037) missing its final digit; snapshot checksums
+ *  and rnr_ckpt/ slot names are built on it, so it stays. */
+inline constexpr std::uint64_t kCkptFnvBasis = 1469598103934665603ull;
+
+/** FNV-1a 64-bit, the repo's content hash; doubles as the snapshot
+ *  checksum and, through keyHashName (harness/publish.h), names the
+ *  trace store's and checkpoint store's on-disk slots. */
 inline std::uint64_t
-fnv1a64(const void *data, std::size_t n,
-        std::uint64_t h = 1469598103934665603ull)
+fnv1a64(const void *data, std::size_t n, std::uint64_t h = kCkptFnvBasis)
 {
     const unsigned char *p = static_cast<const unsigned char *>(data);
     for (std::size_t i = 0; i < n; ++i) {

@@ -563,7 +563,7 @@ FarmServer::Impl::submitOne(Client &c, std::uint64_t index,
     // Traced submits skip the cache shortcut on purpose: a hit would
     // answer with counters but no worker ever runs, so there would be
     // nothing to put on the merged timeline (mirrors how
-    // runExperimentTraced always simulates).
+    // runExperimentInstrumented always simulates).
     ExperimentResult hit;
     if (trace_dir.empty() && ResultCache::instance().lookup(cfg, hit)) {
         totals().done++;

@@ -10,6 +10,7 @@
 
 #include "harness/json_parse.h"
 #include "harness/json_write.h"
+#include "harness/publish.h"
 
 namespace rnr {
 
@@ -278,22 +279,7 @@ mergeFarmTrace(const std::string &trace_dir, const std::string &out_path,
     os << "\n  ],\n  \"otherData\": {\"spans\": " << spans.size()
        << ", \"trace_dir\": " << jsonQuote(trace_dir) << "}\n}\n";
 
-    const std::string tmp = out_path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out || !(out << os.str())) {
-            if (error)
-                *error = "cannot write " + tmp;
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        if (error)
-            *error = "cannot rename " + tmp + " to " + out_path;
-        return false;
-    }
-    return true;
+    return publishFile(out_path, os.str(), error);
 }
 
 } // namespace rnr

@@ -107,11 +107,11 @@ farmWorkerMain(int fd)
             bool was_cached = false;
             ExperimentResult r;
             if (!trace_dir.empty()) {
-                // Always simulates (runExperimentTraced bypasses the
-                // cache — a hit would produce no events); store() keeps
-                // the normal persistence contract for the daemon.
+                // Always simulates (runExperimentInstrumented bypasses
+                // the cache — a hit would produce no events); store()
+                // keeps the normal persistence contract for the daemon.
                 TraceCollector tr(cfg.cores);
-                r = runExperimentTraced(cfg, &tr);
+                r = runExperimentInstrumented(cfg, &tr, nullptr, nullptr);
                 ResultCache::instance().store(key, r);
                 const std::string out =
                     trace_dir + "/span_" +

@@ -32,8 +32,8 @@ struct TelemetryBlob;
  * observation-only (a traced run's counters are bit-identical to an
  * untraced run's), so the results are interchangeable cache-wise.  The
  * flip side: runExperiment() may satisfy a traced config from the cache
- * without simulating, producing no events — call runExperimentTraced()
- * when events are the point.
+ * without simulating, producing no events — call
+ * runExperimentInstrumented() when events are the point.
  */
 struct TraceOptions {
     bool enabled = false;      ///< Collect events (or RNR_TRACE=1).

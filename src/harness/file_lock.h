@@ -2,13 +2,15 @@
  * @file
  * Advisory whole-file lock (flock) for cross-process publish discipline.
  *
- * The result cache and the trace store both follow "write a temp,
- * rename into place" — atomic against readers, but two *processes*
- * publishing concurrently could still duplicate work (both capture the
- * same workload) or lose each other's cache lines (both rewrite the
- * whole file).  Farm workers make that the common case, so both stores
- * now serialise their publish sections with an advisory flock(2) on a
- * sidecar lock file.
+ * Every on-disk product is published atomically (harness/publish.h),
+ * which keeps readers safe, but two *processes* publishing concurrently
+ * could still duplicate work (both capture the same workload or warm up
+ * the same snapshot) or lose each other's cache lines (both rewrite the
+ * whole file).  Farm workers make that the common case, so an advisory
+ * flock(2) on a sidecar lock file serialises them: SingleFlight
+ * (harness/publish.h) holds one per trace-store and checkpoint-store
+ * slot while its owner produces, and the result cache holds one around
+ * its merge-and-rewrite.
  *
  * Properties that make flock the right tool here:
  *  - released automatically when the process dies (SIGKILLed workers
@@ -17,8 +19,8 @@
  *    data thanks to the atomic rename — the lock only prevents
  *    duplicated or lost *work*;
  *  - degrades to a no-op where unsupported (Windows, exotic
- *    filesystems): held() is false and callers proceed with the
- *    PR 1-era single-process guarantees.
+ *    filesystems): held() is false and callers proceed with
+ *    single-process guarantees.
  */
 #ifndef RNR_HARNESS_FILE_LOCK_H
 #define RNR_HARNESS_FILE_LOCK_H

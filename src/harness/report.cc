@@ -5,19 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
-
-#ifdef _WIN32
-#include <process.h>
-#define rnr_getpid _getpid
-#else
-#include <unistd.h>
-#define rnr_getpid getpid
-#endif
 
 #include "harness/json_write.h"
 #include "harness/metrics.h"
+#include "harness/publish.h"
 #include "harness/result_cache.h"
 #include "harness/runner.h"
 #include "harness/sweep.h"
@@ -67,26 +59,6 @@ baselineFor(const SweepReport &rep, const ReportCell &cell)
             c.result.config.workloadKey() == wkey)
             return &c;
     return nullptr;
-}
-
-bool
-atomicWrite(const std::string &path, const std::string &content)
-{
-    const std::string tmp =
-        path + ".tmp." + std::to_string(rnr_getpid());
-    {
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        if (!out)
-            return false;
-        out << content;
-        if (!out)
-            return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -614,8 +586,8 @@ reportHtml(const SweepReport &rep)
 bool
 writeReport(const std::string &prefix, const SweepReport &rep)
 {
-    const bool json_ok = atomicWrite(prefix + ".json", reportJson(rep));
-    const bool html_ok = atomicWrite(prefix + ".html", reportHtml(rep));
+    const bool json_ok = publishFile(prefix + ".json", reportJson(rep));
+    const bool html_ok = publishFile(prefix + ".html", reportHtml(rep));
     return json_ok && html_ok;
 }
 

@@ -1,20 +1,12 @@
 #include "harness/result_cache.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "harness/file_lock.h"
+#include "harness/publish.h"
 #include "obs/metrics.h"
-
-#ifdef _WIN32
-#include <process.h>
-#define rnr_getpid _getpid
-#else
-#include <unistd.h>
-#define rnr_getpid getpid
-#endif
 
 namespace rnr {
 
@@ -172,29 +164,16 @@ ResultCache::rewriteFileLocked()
     if (lock.held())
         mergeFromDiskLocked();
 
-    const std::string tmp =
-        loaded_path_ + ".tmp." + std::to_string(rnr_getpid());
-    std::FILE *out = std::fopen(tmp.c_str(), "w");
-    if (!out)
-        return; // unwritable location: keep going without persistence
-    bool ok = true;
+    std::string content;
     for (const auto &[key, value] : lines_) {
-        if (std::fprintf(out, "%s|%s\n", key.c_str(), value.c_str()) < 0) {
-            ok = false;
-            break;
-        }
+        content += key;
+        content += '|';
+        content += value;
+        content += '\n';
     }
-    // fsync BEFORE the rename: once the new name is visible it must
-    // carry every byte, or a crash between rename and writeback could
-    // leave a torn final line for the next loader (tolerated, but each
-    // tolerated line is a lost result).
-    ok = ok && std::fflush(out) == 0;
-#ifndef _WIN32
-    ok = ok && ::fsync(fileno(out)) == 0;
-#endif
-    ok = std::fclose(out) == 0 && ok;
-    if (!ok || std::rename(tmp.c_str(), loaded_path_.c_str()) != 0)
-        std::remove(tmp.c_str());
+    // An unwritable location is not fatal: keep going without
+    // persistence (the memo still serves this process).
+    publishFile(loaded_path_, content);
 }
 
 bool

@@ -11,16 +11,14 @@
  *     bench binary run from the same working directory.
  *
  * File persistence is crash- and concurrency-safe: every store rewrites
- * the whole file through a process-unique temporary that is fsync'd and
- * then renamed into place (rename(2) is atomic on POSIX), so readers
+ * the whole file through publishFile (harness/publish.h), so readers
  * never observe a torn line and a worker killed mid-publish leaves the
- * previous file intact — the temp either carries every byte or is never
- * renamed.  Cross-process, the rewrite holds an advisory flock on
- * "<path>.lock" (harness/file_lock.h) and re-merges the on-disk file
- * first, so concurrent farm workers append to, never clobber, each
- * other's results.  The loader tolerates corrupt lines: anything that
- * does not parse (including a torn final line from a pre-fsync crash)
- * is counted and skipped, never fatal.
+ * previous file intact.  Cross-process, the rewrite holds an advisory
+ * flock on "<path>.lock" (harness/file_lock.h) and re-merges the
+ * on-disk file first, so concurrent farm workers append to, never
+ * clobber, each other's results.  The loader tolerates corrupt lines:
+ * anything that does not parse (including a torn final line from a
+ * pre-fsync crash) is counted and skipped, never fatal.
  *
  * Environment:
  *   RNR_CACHE=0            disable file persistence (memo still active)

@@ -57,10 +57,12 @@ struct Sim {
     std::vector<std::unique_ptr<Prefetcher>> prefetchers;
     ExperimentResult result;
     SystemCounters before;
+    /** Per-core emit buffers, reused across iterations. */
+    std::vector<TraceBuffer> bufs;
 
     Sim(const ExperimentConfig &cfg, TraceCollector *tr,
-        TelemetrySampler *tm, AttribCollector *at = nullptr)
-        : sys(machineFor(cfg)), wl(makeWorkload(cfg))
+        TelemetrySampler *tm, AttribCollector *at)
+        : sys(machineFor(cfg)), wl(makeWorkload(cfg)), bufs(cfg.cores)
     {
         RnrPrefetcher::Options rnr_opts;
         rnr_opts.control = cfg.control;
@@ -107,6 +109,40 @@ struct Sim {
         before = after;
     }
 
+    /**
+     * Executes the workload natively for iterations [first, last) and
+     * simulates each from its materialised buffers.  When @p cap is
+     * non-null every iteration's buffers are also encoded into the
+     * in-progress store entry.
+     */
+    void
+    runNative(const ExperimentConfig &cfg, unsigned first, unsigned last,
+              TraceStore::Capture *cap = nullptr)
+    {
+        for (unsigned iter = first; iter < last; ++iter) {
+            // No clear here: retargetAll() clears, and first samples
+            // each buffer's size so it can reserve the next iteration's
+            // records.
+            wl->emitIteration(iter, iter + 1 == cfg.iterations, bufs);
+
+            for (unsigned c = 0; cap && c < cfg.cores; ++c)
+                if (TraceIoResult r = cap->add(iter, c, bufs[c]); !r) {
+                    // Capture is best-effort: keep simulating, drop the
+                    // half-written entry (its destructor aborts it).
+                    obs::LogLine(obs::LogLevel::Warn, "tracestore")
+                        .msg("capture failed")
+                        .kv("workload", cfg.workloadKey())
+                        .kv("why", r.message());
+                    cap = nullptr;
+                }
+
+            std::vector<const TraceBuffer *> ptrs;
+            for (auto &b : bufs)
+                ptrs.push_back(&b);
+            recordIteration(sys.run(ptrs));
+        }
+    }
+
     /** Collects the end-of-run metadata sizes (Fig 13). */
     ExperimentResult
     finish(const ExperimentConfig &cfg)
@@ -122,9 +158,8 @@ struct Sim {
 
 /**
  * Executes the workload natively and simulates from the materialised
- * buffers (the legacy path, and the store's capture path).  When
- * @p cap is non-null every iteration's buffers are also encoded into
- * the in-progress store entry.
+ * buffers (the legacy path, and the store's capture path when @p cap
+ * is non-null).
  */
 ExperimentResult
 runMaterialized(const ExperimentConfig &cfg, TraceCollector *tr,
@@ -133,29 +168,7 @@ runMaterialized(const ExperimentConfig &cfg, TraceCollector *tr,
 {
     g_simulated.fetch_add(1);
     Sim sim(cfg, tr, tm, at);
-
-    std::vector<TraceBuffer> bufs(cfg.cores);
-    for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
-        // No clear here: retargetAll() clears, and first samples each
-        // buffer's size so it can reserve the next iteration's records.
-        sim.wl->emitIteration(iter, iter + 1 == cfg.iterations, bufs);
-
-        for (unsigned c = 0; cap && c < cfg.cores; ++c)
-            if (TraceIoResult r = cap->add(iter, c, bufs[c]); !r) {
-                // Capture is best-effort: keep simulating, drop the
-                // half-written entry (the destructor aborts it).
-                obs::LogLine(obs::LogLevel::Warn, "tracestore")
-                    .msg("capture failed")
-                    .kv("workload", cfg.workloadKey())
-                    .kv("why", r.message());
-                cap = nullptr;
-            }
-
-        std::vector<const TraceBuffer *> ptrs;
-        for (auto &b : bufs)
-            ptrs.push_back(&b);
-        sim.recordIteration(sim.sys.run(ptrs));
-    }
+    sim.runNative(cfg, 0, cfg.iterations, cap);
     return sim.finish(cfg);
 }
 
@@ -290,9 +303,8 @@ restoreSim(const ExperimentConfig &cfg, Sim &sim,
     // its RnR runtime staging) in exactly the checkpoint-time state
     // for any workload type.  The emitted records are discarded — the
     // System/Prefetchers sections stand in for simulating them.
-    std::vector<TraceBuffer> bufs(cfg.cores);
     for (unsigned iter = 0; iter < window; ++iter)
-        sim.wl->emitIteration(iter, iter + 1 == cfg.iterations, bufs);
+        sim.wl->emitIteration(iter, iter + 1 == cfg.iterations, sim.bufs);
 
     ckpt::Deser sys = reader.section(ckpt::SectionId::System);
     sim.sys.visitState(sys);
@@ -364,8 +376,8 @@ makeWorkload(const ExperimentConfig &cfg)
 }
 
 ExperimentResult
-runExperimentAttributed(const ExperimentConfig &cfg, TraceCollector *tr,
-                        TelemetrySampler *tm, AttribCollector *at)
+runExperimentInstrumented(const ExperimentConfig &cfg, TraceCollector *tr,
+                          TelemetrySampler *tm, AttribCollector *at)
 {
     // The tracefile app already replays from disk; storing it again
     // would only duplicate the file.
@@ -384,19 +396,6 @@ runExperimentAttributed(const ExperimentConfig &cfg, TraceCollector *tr,
 }
 
 ExperimentResult
-runExperimentInstrumented(const ExperimentConfig &cfg, TraceCollector *tr,
-                          TelemetrySampler *tm)
-{
-    return runExperimentAttributed(cfg, tr, tm, nullptr);
-}
-
-ExperimentResult
-runExperimentTraced(const ExperimentConfig &cfg, TraceCollector *tr)
-{
-    return runExperimentInstrumented(cfg, tr, nullptr);
-}
-
-ExperimentResult
 runExperimentUncached(const ExperimentConfig &cfg)
 {
     const bool want_trace = cfg.trace.enabled || traceEnvEnabled();
@@ -404,7 +403,7 @@ runExperimentUncached(const ExperimentConfig &cfg)
         cfg.telemetry.enabled || telemetryEnvSampleCycles() > 0;
     const bool want_attrib = cfg.attrib.enabled || attribEnvEnabled();
     if (!want_trace && !want_samples && !want_attrib)
-        return runExperimentInstrumented(cfg, nullptr, nullptr);
+        return runExperimentInstrumented(cfg, nullptr, nullptr, nullptr);
 
     std::unique_ptr<TelemetrySampler> tm;
     if (want_samples)
@@ -420,15 +419,17 @@ runExperimentUncached(const ExperimentConfig &cfg)
                 ? cfg.attrib.region_top_k
                 : AttribCollector::kDefaultRegionTopK);
     if (!want_trace)
-        return runExperimentAttributed(cfg, nullptr, tm.get(), at.get());
+        return runExperimentInstrumented(cfg, nullptr, tm.get(), at.get());
 
     TraceCollector tr(cfg.cores, cfg.trace.ring_capacity);
     ExperimentResult result =
-        runExperimentAttributed(cfg, &tr, tm.get(), at.get());
+        runExperimentInstrumented(cfg, &tr, tm.get(), at.get());
 
-    // Sinks.  Caveat for parallel sweeps: every traced cell writes the
-    // same RNR_TRACE_OUT path (atomically; last writer wins) — tracing
-    // is meant for single-cell runs, not whole sweeps.
+    // Sinks.  In a parallel sweep every traced cell without its own
+    // cfg.trace.json_out publishes to the same RNR_TRACE_OUT path.  Each
+    // publish goes through its own temp file, so every write succeeds
+    // and the file always holds one cell's complete trace — the cell
+    // that finished last.  Set json_out per cell to keep them all.
     const std::string out = !cfg.trace.json_out.empty()
                                 ? cfg.trace.json_out
                                 : traceEnvOutPath();
@@ -506,18 +507,10 @@ runExperimentCheckpointed(const ExperimentConfig &cfg, unsigned window,
         throw std::invalid_argument(
             "checkpoint window must be in [1, iterations)");
     g_simulated.fetch_add(1);
-    Sim sim(cfg, nullptr, nullptr);
-
-    std::vector<TraceBuffer> bufs(cfg.cores);
-    for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
-        sim.wl->emitIteration(iter, iter + 1 == cfg.iterations, bufs);
-        std::vector<const TraceBuffer *> ptrs;
-        for (auto &b : bufs)
-            ptrs.push_back(&b);
-        sim.recordIteration(sim.sys.run(ptrs));
-        if (iter + 1 == window)
-            snapshot_out = snapshotSim(cfg, sim, window);
-    }
+    Sim sim(cfg, nullptr, nullptr, nullptr);
+    sim.runNative(cfg, 0, window);
+    snapshot_out = snapshotSim(cfg, sim, window);
+    sim.runNative(cfg, window, cfg.iterations);
     return sim.finish(cfg);
 }
 
@@ -541,18 +534,10 @@ runExperimentFromSnapshot(const ExperimentConfig &cfg,
                 std::to_string(cfg.iterations) + ")"));
 
     g_simulated.fetch_add(1);
-    Sim sim(cfg, nullptr, nullptr);
+    Sim sim(cfg, nullptr, nullptr, nullptr);
     restoreSim(cfg, sim, reader);
     ckpt::CheckpointStore::instance().noteRestore();
-
-    std::vector<TraceBuffer> bufs(cfg.cores);
-    for (unsigned iter = window; iter < cfg.iterations; ++iter) {
-        sim.wl->emitIteration(iter, iter + 1 == cfg.iterations, bufs);
-        std::vector<const TraceBuffer *> ptrs;
-        for (auto &b : bufs)
-            ptrs.push_back(&b);
-        sim.recordIteration(sim.sys.run(ptrs));
-    }
+    sim.runNative(cfg, window, cfg.iterations);
     return sim.finish(cfg);
 }
 

@@ -51,41 +51,23 @@ std::unique_ptr<Workload> makeWorkload(const ExperimentConfig &cfg);
 ExperimentResult runExperimentUncached(const ExperimentConfig &cfg);
 
 /**
- * Simulates @p cfg with events collected into @p tr (caller-owned; must
- * be built for cfg.cores tracks).  Always simulates — never consults or
- * populates the result cache — because a cache hit would return counters
- * without ever generating events.  Pass tr = nullptr to just bypass the
- * cache.
- */
-ExperimentResult runExperimentTraced(const ExperimentConfig &cfg,
-                                     TraceCollector *tr);
-
-/**
- * Fully instrumented variant: events into @p tr and periodic counter
- * samples into @p tm (both caller-owned, either may be null).  Like
- * runExperimentTraced it always simulates — a cache hit would produce
- * neither events nor samples.  The harvested series additionally land on
- * the returned result as ExperimentResult::telemetry when @p tm is
- * non-null.  Neither instrument changes the returned counters
- * (tests/harness/report_test.cc asserts bit-equality for sampling).
+ * Simulates @p cfg with its instruments attached: events into @p tr
+ * (built for cfg.cores tracks), periodic counter samples into @p tm and
+ * prefetch-quality attribution into @p at — all caller-owned, any may
+ * be null.  Always simulates, never consulting or populating the result
+ * cache, because a cache hit would return counters without events,
+ * samples or attribution; pass all three null to just bypass the cache.
+ * @p tm's series land on the result as ExperimentResult::telemetry;
+ * @p at's harvest lands as ExperimentResult::attrib and is mirrored into
+ * the process metrics registry (sim/attrib.h).  No instrument changes
+ * the returned counters (tests/sim/trace_event_test.cc,
+ * tests/harness/report_test.cc and tests/sim/attrib_test.cc assert
+ * bit-equality).
  */
 ExperimentResult runExperimentInstrumented(const ExperimentConfig &cfg,
                                            TraceCollector *tr,
-                                           TelemetrySampler *tm);
-
-/**
- * The fully loaded variant: events into @p tr, samples into @p tm and
- * prefetch-quality attribution into @p at (all caller-owned, any may be
- * null).  Always simulates, like the other instrumented entry points.
- * When @p at is non-null its harvest lands on the returned result as
- * ExperimentResult::attrib and is mirrored into the process metrics
- * registry (sim/attrib.h).  Attribution never changes the returned
- * counters (tests/sim/attrib_test.cc asserts bit-equality).
- */
-ExperimentResult runExperimentAttributed(const ExperimentConfig &cfg,
-                                         TraceCollector *tr,
-                                         TelemetrySampler *tm,
-                                         AttribCollector *at);
+                                           TelemetrySampler *tm,
+                                           AttribCollector *at);
 
 /**
  * Simulates @p cfg, consulting the in-process cache and the file cache

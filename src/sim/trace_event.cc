@@ -3,18 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "harness/json_write.h"
-
-#ifdef _WIN32
-#include <process.h>
-#define rnr_getpid _getpid
-#else
-#include <unistd.h>
-#define rnr_getpid getpid
-#endif
+#include "harness/publish.h"
 
 namespace rnr {
 
@@ -274,21 +266,7 @@ chromeTraceJson(const TraceCollector &tr)
 bool
 writeChromeTrace(const std::string &path, const TraceCollector &tr)
 {
-    const std::string tmp =
-        path + ".tmp." + std::to_string(rnr_getpid());
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return false;
-        out << chromeTraceJson(tr);
-        if (!out)
-            return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return publishFile(path, chromeTraceJson(tr));
 }
 
 bool

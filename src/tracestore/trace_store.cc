@@ -1,8 +1,6 @@
 #include "tracestore/trace_store.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -14,14 +12,6 @@
 #include "obs/metrics.h"
 #include "tracestore/trace_codec.h"
 #include "tracestore/trace_file.h"
-
-#ifdef _WIN32
-#include <process.h>
-#define rnr_getpid _getpid
-#else
-#include <unistd.h>
-#define rnr_getpid getpid
-#endif
 
 namespace fs = std::filesystem;
 
@@ -129,22 +119,13 @@ entryStoredBytes(const std::string &dir)
     return total;
 }
 
-} // namespace
-
 std::string
-traceStoreHashName(const std::string &wkey)
+entryDir(const std::string &wkey)
 {
-    // FNV-1a 64: stable across platforms, collision-checked via the
-    // manifest's full key, so it only has to spread, not be perfect.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : wkey) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001b3ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
-    return buf;
+    return TraceStore::rootPath() + "/" + keyHashName(wkey);
 }
+
+} // namespace
 
 TraceStore &
 TraceStore::instance()
@@ -187,7 +168,7 @@ TraceStore::Entry::tracePath(unsigned iter, unsigned core) const
 bool
 TraceStore::openEntry(const std::string &wkey, Entry &out)
 {
-    const std::string dir = rootPath() + "/" + traceStoreHashName(wkey);
+    const std::string dir = entryDir(wkey);
     std::error_code ec;
     if (!fs::exists(dir, ec))
         return false;
@@ -233,83 +214,17 @@ TraceStore::openEntry(const std::string &wkey, Entry &out)
     return true;
 }
 
-namespace {
-
-std::string
-captureLockPath(const std::string &wkey)
-{
-    return TraceStore::rootPath() + "/" + traceStoreHashName(wkey) +
-           ".lock";
-}
-
-} // namespace
-
 TraceStore::Acquire
 TraceStore::acquire(const std::string &wkey, Entry &out)
 {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        if (openEntry(wkey, out)) {
-            ++hits_;
-            if (obs::Counter *c = storeMetrics().replays)
-                c->add();
-            return Acquire::Hit;
-        }
-        if (!inflight_.insert(wkey).second) {
-            // A thread of this process is already capturing.
-            cv_.wait(lock);
-            continue;
-        }
-        // In-process owner; now contend with other *processes* (farm
-        // workers) for the same entry through an advisory flock.
-        std::error_code ec;
-        fs::create_directories(rootPath(), ec);
-        auto fl = std::make_unique<FileLock>(captureLockPath(wkey),
-                                             FileLock::Mode::Try);
-        if (fl->held()) {
-            locks_[wkey] = std::move(fl);
-            return Acquire::Owner;
-        }
-        // Another process holds the lock (or flock is unsupported
-        // here).  Wait for it without wedging this process's other
-        // threads: drop mu_, block on the lock, re-check from scratch.
-        inflight_.erase(wkey);
-        cv_.notify_all();
-        lock.unlock();
-        FileLock waiter(captureLockPath(wkey), FileLock::Mode::Block);
-        const bool waited = waiter.held();
-        waiter.release();
-        lock.lock();
-        if (!waited) {
-            // flock unsupported (exotic fs, Windows): degrade to the
-            // single-process guarantee and capture ourselves.
-            if (inflight_.insert(wkey).second)
-                return Acquire::Owner;
-            cv_.wait(lock);
-        }
-        // Re-loop: the other process published (-> Hit) or aborted
-        // (-> we become the owner on the next iteration).
+    const Acquire a = flight_.acquire(wkey, entryDir(wkey) + ".lock",
+                                      [&] { return openEntry(wkey, out); });
+    if (a == Acquire::Hit) {
+        ++hits_;
+        if (obs::Counter *c = storeMetrics().replays)
+            c->add();
     }
-}
-
-void
-TraceStore::releaseOwnership(const std::string &wkey)
-{
-    bool held_flock = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        held_flock = locks_.erase(wkey) != 0; // drops the flock, if any
-        inflight_.erase(wkey);
-    }
-    if (held_flock) {
-        // We held the flock, so no other process does: the lock file is
-        // ours to remove.  A waiter racing on the old inode at worst
-        // captures redundantly — the same degradation as a no-flock
-        // filesystem — and publish stays an atomic rename either way.
-        std::error_code ec;
-        fs::remove(captureLockPath(wkey), ec);
-    }
-    cv_.notify_all();
+    return a;
 }
 
 // ---- Capture ----
@@ -319,10 +234,9 @@ TraceStore::Capture::Capture(TraceStore *store, std::string wkey,
     : store_(store), wkey_(std::move(wkey)), iterations_(iterations),
       cores_(cores)
 {
-    tmp_dir_ = rootPath() + "/.tmp." + traceStoreHashName(wkey_) + "." +
-               std::to_string(rnr_getpid());
+    tmp_dir_ = rootPath() + "/.tmp." + keyHashName(wkey_) + "." +
+               tempSuffix();
     std::error_code ec;
-    fs::remove_all(tmp_dir_, ec); // stale leftover from a crashed run
     fs::create_directories(tmp_dir_, ec);
     open_ = !ec;
 }
@@ -344,7 +258,7 @@ TraceStore::Capture::~Capture()
     // Abort: drop the partial capture and let a waiter take over.
     std::error_code ec;
     fs::remove_all(tmp_dir_, ec);
-    store_->releaseOwnership(wkey_);
+    store_->flight_.release(wkey_);
 }
 
 TraceIoResult
@@ -384,33 +298,29 @@ TraceStore::Capture::publish(std::uint64_t input_bytes,
         ok = static_cast<bool>(mf);
     }
 
-    const std::string final_dir =
-        rootPath() + "/" + traceStoreHashName(wkey_);
-    if (ok) {
-        std::lock_guard<std::mutex> lock(store_->mu_);
-        if (fs::exists(final_dir, ec)) {
-            // Another process published first.  Keep theirs if it is
-            // the same key; replace it on a hash collision (ours is
-            // the one being asked for right now).
-            Entry theirs;
-            if (parseManifest(final_dir, theirs) && theirs.key == wkey_)
-                fs::remove_all(tmp_dir_, ec);
-            else {
-                fs::remove_all(final_dir, ec);
-                fs::rename(tmp_dir_, final_dir, ec);
-                ok = !ec;
-            }
+    const std::string final_dir = entryDir(wkey_);
+    // Install under the flight mutex so no probe sees a half-replaced
+    // or half-evicted directory.
+    const auto install = [&] {
+        Entry theirs;
+        if (parseManifest(final_dir, theirs) && theirs.key == wkey_) {
+            // Another process published this key first: keep theirs.
+            fs::remove_all(tmp_dir_, ec);
         } else {
+            // Absent, or a hash collision (ours is the one being asked
+            // for right now): install ours.
+            fs::remove_all(final_dir, ec);
             fs::rename(tmp_dir_, final_dir, ec);
-            ok = !ec;
+            if (ec)
+                return false;
         }
-        if (ok) {
-            ++store_->captures_;
-            if (obs::Counter *c = storeMetrics().captures)
-                c->add();
-            store_->applyCapLocked(final_dir);
-        }
-    }
+        ++store_->captures_;
+        if (obs::Counter *c = storeMetrics().captures)
+            c->add();
+        store_->applyCap(final_dir);
+        return true;
+    };
+    ok = ok && store_->flight_.locked(install);
     if (!ok)
         fs::remove_all(tmp_dir_, ec);
     else
@@ -423,7 +333,7 @@ TraceStore::Capture::publish(std::uint64_t input_bytes,
             .kv("ratio", stored ? static_cast<double>(raw_bytes_) /
                                       static_cast<double>(stored)
                                 : 0.0);
-    store_->releaseOwnership(wkey_);
+    store_->flight_.release(wkey_);
     return ok;
 }
 
@@ -437,16 +347,17 @@ TraceStore::beginCapture(const std::string &wkey, unsigned iterations,
 void
 TraceStore::invalidate(const std::string &wkey)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::error_code ec;
-    fs::remove_all(rootPath() + "/" + traceStoreHashName(wkey), ec);
+    flight_.locked([&] {
+        std::error_code ec;
+        fs::remove_all(entryDir(wkey), ec);
+    });
     ++corrupt_;
     if (obs::Counter *c = storeMetrics().quarantines)
         c->add();
 }
 
 void
-TraceStore::applyCapLocked(const std::string &keep_dir)
+TraceStore::applyCap(const std::string &keep_dir)
 {
     const std::uint64_t cap = capBytes();
     if (cap == 0)
@@ -515,37 +426,31 @@ TraceStore::listEntries()
 std::uint64_t
 TraceStore::captures() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return captures_;
 }
 
 std::uint64_t
 TraceStore::hits() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return hits_;
 }
 
 std::uint64_t
 TraceStore::corruptEntries() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return corrupt_;
 }
 
 std::uint64_t
 TraceStore::evictions() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     return evictions_;
 }
 
 void
 TraceStore::resetForTest()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight_.clear();
-    locks_.clear();
+    flight_.resetForTest();
     captures_ = hits_ = corrupt_ = evictions_ = 0;
 }
 

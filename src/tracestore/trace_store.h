@@ -21,14 +21,13 @@
  *   <hash16>/manifest          text, see trace_store.cc
  *   <hash16>/it<I>.c<C>.rnrt   one v2 trace per (iteration, core)
  *
- * Discipline (mirrors harness/result_cache.h):
+ * Discipline (harness/publish.h, docs/HARNESS.md §7):
  *  - single-flight capture: concurrent experiments sharing a workload
- *    key block on one capture instead of each re-executing — within a
- *    process via a condition variable, and across processes (farm
- *    workers) via an advisory flock on "<root>/<hash16>.lock"
- *    (harness/file_lock.h), so N workers capture a shared workload
+ *    key block on one capture instead of each re-executing, across
+ *    threads and farm worker processes (SingleFlight, lock file
+ *    "<root>/<hash16>.lock"), so N workers capture a shared workload
  *    once, not N times;
- *  - atomic publish: captures write to a process-unique temp directory
+ *  - atomic publish: captures write to a unique ".tmp." directory
  *    renamed into place, so readers never observe a torn entry and
  *    concurrent processes race benignly (first publisher wins);
  *  - corrupt-entry tolerance: a manifest/trace that fails validation is
@@ -44,16 +43,12 @@
 #ifndef RNR_TRACESTORE_TRACE_STORE_H
 #define RNR_TRACESTORE_TRACE_STORE_H
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "harness/file_lock.h"
+#include "harness/publish.h"
 #include "trace/trace_buffer.h"
 #include "trace/trace_io.h"
 
@@ -91,10 +86,9 @@ class TraceStore
         std::string tracePath(unsigned iter, unsigned core) const;
     };
 
-    enum class Acquire {
-        Hit,   ///< @p out filled; replay from the corpus.
-        Owner, ///< Caller must capture (beginCapture) then publish/abort.
-    };
+    /** Hit: @p out filled, replay from the corpus.  Owner: caller must
+     *  capture (beginCapture) then publish or abort. */
+    using Acquire = SingleFlight::Acquire;
 
     /**
      * Single-flight entry acquisition for @p wkey.  A valid entry
@@ -172,24 +166,19 @@ class TraceStore
   private:
     TraceStore() = default;
 
-    /** Validates and loads the entry for @p wkey; false = miss. */
+    /** Validates and loads the entry for @p wkey; false = miss.
+     *  Runs under the flight mutex. */
     bool openEntry(const std::string &wkey, Entry &out);
-    void releaseOwnership(const std::string &wkey);
-    void applyCapLocked(const std::string &keep_dir);
+    /** Evicts oldest entries beyond capBytes(); under the flight mutex. */
+    void applyCap(const std::string &keep_dir);
 
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::set<std::string> inflight_; ///< Workload keys being captured.
-    /** Cross-process capture locks held by this process's captures. */
-    std::map<std::string, std::unique_ptr<FileLock>> locks_;
-    std::uint64_t captures_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t corrupt_ = 0;
-    std::uint64_t evictions_ = 0;
+    /** Slots are workload keys; lock files "<root>/<hash16>.lock". */
+    SingleFlight flight_;
+    std::atomic<std::uint64_t> captures_{0};
+    std::atomic<std::uint64_t> hits_{0};
+    std::atomic<std::uint64_t> corrupt_{0};
+    std::atomic<std::uint64_t> evictions_{0};
 };
-
-/** Directory name for @p wkey: 16 hex digits of FNV-1a64. */
-std::string traceStoreHashName(const std::string &wkey);
 
 } // namespace rnr
 

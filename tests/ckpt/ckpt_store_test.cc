@@ -73,7 +73,8 @@ TEST_F(CkptStoreTest, PublishThenHitRoundTrips)
     ASSERT_TRUE(store.publish("key-a", 2, published));
     EXPECT_EQ(store.saves(), 1u);
     // The production lock file is cleaned up after publish.
-    EXPECT_FALSE(fs::exists(root_ + "/" + ckptHashName("key-a") +
+    EXPECT_FALSE(fs::exists(root_ + "/" +
+                            keyHashName("key-a", kCkptFnvBasis) +
                             ".w2.lock"));
 
     EXPECT_EQ(store.acquire("key-a", 2, blob),

@@ -59,12 +59,12 @@ TEST_F(ReportFixture, SampledRunIsBitIdenticalToUnsampled)
     const ExperimentConfig cfg = rnrConfig();
 
     const ExperimentResult plain =
-        runExperimentInstrumented(cfg, nullptr, nullptr);
+        runExperimentInstrumented(cfg, nullptr, nullptr, nullptr);
 
     TelemetrySampler tm(256); // aggressive period: ~32x denser than the
                               // default, to maximise observable skew
     const ExperimentResult sampled =
-        runExperimentInstrumented(cfg, nullptr, &tm);
+        runExperimentInstrumented(cfg, nullptr, &tm, nullptr);
 
     ASSERT_EQ(sampled.iterations.size(), plain.iterations.size());
     for (std::size_t i = 0; i < plain.iterations.size(); ++i) {
@@ -92,7 +92,7 @@ TEST_F(ReportFixture, BlobCarriesTheReplayLaneAndMemorySeries)
 
     TelemetrySampler tm(512);
     const ExperimentResult r =
-        runExperimentInstrumented(cfg, nullptr, &tm);
+        runExperimentInstrumented(cfg, nullptr, &tm, nullptr);
     ASSERT_NE(r.telemetry, nullptr);
     const TelemetryBlob &blob = *r.telemetry;
 

@@ -173,7 +173,7 @@ TEST_F(TraceStoreTest, AbortedCaptureLeavesNoEntryAndReleasesKey)
     // and no temp or entry directory survived the abort.
     ASSERT_EQ(store.acquire(wkey, entry), TraceStore::Acquire::Owner);
     store.beginCapture(wkey, 2, 1); // immediately aborted; releases key
-    EXPECT_FALSE(fs::exists(fs::path(root_) / traceStoreHashName(wkey)));
+    EXPECT_FALSE(fs::exists(fs::path(root_) / keyHashName(wkey)));
     std::size_t dirents = 0;
     if (fs::exists(root_))
         for ([[maybe_unused]] auto &d : fs::directory_iterator(root_))
@@ -198,7 +198,7 @@ TEST_F(TraceStoreTest, TruncatedTraceFileIsQuarantinedAndRecaptured)
     TraceStore::Entry again;
     EXPECT_EQ(store.acquire(wkey, again), TraceStore::Acquire::Owner);
     EXPECT_GE(store.corruptEntries(), 1u);
-    EXPECT_FALSE(fs::exists(fs::path(root_) / traceStoreHashName(wkey)));
+    EXPECT_FALSE(fs::exists(fs::path(root_) / keyHashName(wkey)));
 
     // Recapture repairs the corpus.
     TraceStore::Capture cap = store.beginCapture(wkey, 2, 1);
@@ -217,7 +217,7 @@ TEST_F(TraceStoreTest, GarbageManifestIsQuarantined)
     publishEntry(wkey, 1, 1, 50);
 
     {
-        std::ofstream m(fs::path(root_) / traceStoreHashName(wkey) /
+        std::ofstream m(fs::path(root_) / keyHashName(wkey) /
                         "manifest");
         m << "not a manifest\n";
     }
@@ -237,7 +237,7 @@ TEST_F(TraceStoreTest, HashCollisionReadsAsMissWithoutQuarantine)
     // manifest's key line.  The store must treat this as a miss for
     // wkey (the manifest holds the authoritative key) but NOT corrupt:
     // the entry legitimately belongs to the other key.
-    const fs::path dir = fs::path(root_) / traceStoreHashName(wkey);
+    const fs::path dir = fs::path(root_) / keyHashName(wkey);
     std::vector<std::string> lines;
     {
         std::ifstream m(dir / "manifest");
@@ -346,9 +346,9 @@ TEST_F(TraceStoreTest, SecondThreadBlocksUntilOwnerPublishesThenHits)
 
 TEST_F(TraceStoreTest, HashNameIsStable16HexDigits)
 {
-    const std::string a = traceStoreHashName("pagerank:u16:w4096:i3:n2");
-    const std::string b = traceStoreHashName("pagerank:u16:w4096:i3:n2");
-    const std::string c = traceStoreHashName("pagerank:u16:w4096:i3:n4");
+    const std::string a = keyHashName("pagerank:u16:w4096:i3:n2");
+    const std::string b = keyHashName("pagerank:u16:w4096:i3:n2");
+    const std::string c = keyHashName("pagerank:u16:w4096:i3:n4");
     EXPECT_EQ(a, b);
     EXPECT_NE(a, c);
     EXPECT_EQ(a.size(), 16u);
