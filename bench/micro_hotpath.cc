@@ -30,8 +30,9 @@
  * of none (docs/HARNESS.md §16); CI asserts the parity and the
  * compare gate pins both.  BM_DemandAccessAttribGated is the same
  * contract for the attribution layer (docs/HARNESS.md §18): the loop
- * with attachAttrib(nullptr) and a per-op null-collector gate, the
- * shape every cache/memory-system hook has when RNR_ATTRIB is off.
+ * with an empty probe attach (`attach({})`) and a per-op null-collector
+ * gate, the shape every cache/memory-system hook has when RNR_ATTRIB is
+ * off.
  *
  * BM_Kernel/{batched,legacy} measure the full stack instead — trace
  * feed, CoreModel inner loop, memory system — under each simulation
@@ -138,7 +139,7 @@ BM_DemandAccessSampled(benchmark::State &state)
     // bench plays that role, offering the clock once per op like a
     // one-op cycle batch would.
     TelemetrySampler tm(kDefaultSampleCycles);
-    ms.attachTelemetry(&tm);
+    ms.attach({.tm = &tm});
 
     Tick now = 0;
     std::uint64_t ops = 0;
@@ -212,13 +213,13 @@ BM_DemandAccessAttribGated(benchmark::State &state)
 
     // The disabled-attribution call-site shape (sim/attrib.h rule 2):
     // every cache/memory-system hook holds an `AttribCollector *` that
-    // attachAttrib() left null, so the per-access cost must be one
-    // predictable branch per hook.  attachAttrib(nullptr) walks the
-    // exact detach path the runner uses, and the extra null-gated call
-    // here mirrors the densest hook (the L2 demand-miss probe) at the
-    // per-op granularity it really fires at.  DoNotOptimize keeps the
-    // compiler from folding the branch away.
-    ms.attachAttrib(nullptr);
+    // attach() left null, so the per-access cost must be one
+    // predictable branch per hook.  attach({}) walks the exact detach
+    // path the runner takes for an unobserved run, and the extra
+    // null-gated call here mirrors the densest hook (the L2 demand-miss
+    // probe) at the per-op granularity it really fires at.
+    // DoNotOptimize keeps the compiler from folding the branch away.
+    ms.attach({});
     AttribCollector *at = nullptr;
     benchmark::DoNotOptimize(at);
 

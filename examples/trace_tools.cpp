@@ -519,7 +519,7 @@ rnrTrace(const std::string &app, const std::string &input,
                 cfg.key().c_str());
     TraceCollector tr(cfg.cores, ring_capacity);
     const ExperimentResult res =
-        runExperimentInstrumented(cfg, &tr, nullptr, nullptr);
+        runExperimentInstrumented(cfg, {.tr = &tr});
 
     const ReplayDiagnostics diag = buildReplayDiagnostics(tr);
     std::printf("\nper-window replay diagnostics (all iterations):\n%s",
@@ -627,7 +627,7 @@ attribCmd(const std::string &app, const std::string &input,
                  cfg.key().c_str());
     AttribCollector at;
     const ExperimentResult res =
-        runExperimentInstrumented(cfg, nullptr, nullptr, &at);
+        runExperimentInstrumented(cfg, {.at = &at});
     const AttribBlob &ab = *res.attrib;
 
     // The stdout contract: exactly one line, the rnr-attrib-v1 object

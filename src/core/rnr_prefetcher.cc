@@ -35,26 +35,22 @@ RnrPrefetcher::RnrPrefetcher(Options opts)
 }
 
 void
-RnrPrefetcher::setTrace(TraceCollector *tr, std::uint16_t track)
+RnrPrefetcher::attachProbes(const Probes &p, unsigned core)
 {
-    Prefetcher::setTrace(tr, track);
-    tr_rnr_track_ = tr ? tr->rnrTrack() : 0;
-    controller_.setTrace(tr, tr_rnr_track_,
-                         static_cast<std::uint16_t>(core_));
-}
-
-void
-RnrPrefetcher::setTelemetry(TelemetrySampler *tm, unsigned core)
-{
-    if (!tm)
+    tr_ = p.tr;
+    tr_rnr_track_ = p.tr ? p.tr->rnrTrack() : 0;
+    controller_.setTrace(p.tr, tr_rnr_track_,
+                         static_cast<std::uint16_t>(core));
+    at_ = p.at;
+    if (!p.tm)
         return;
-    const std::string p = "rnr.core" + std::to_string(core) + ".";
-    tm->addSeries(p + "n_pace",
-                  [this] { return controller_.pace(); });
-    tm->addSeries(p + "seq_buffer_bytes",
-                  [this] { return seqBufferFillBytes(); });
-    tm->addSeries(p + "div_buffer_bytes",
-                  [this] { return divBufferFillBytes(); });
+    const std::string name = "rnr.core" + std::to_string(core) + ".";
+    p.tm->addSeries(name + "n_pace",
+                    [this] { return controller_.pace(); });
+    p.tm->addSeries(name + "seq_buffer_bytes",
+                    [this] { return seqBufferFillBytes(); });
+    p.tm->addSeries(name + "div_buffer_bytes",
+                    [this] { return divBufferFillBytes(); });
 }
 
 std::uint64_t

@@ -27,6 +27,7 @@
 #include "core/replay_control.h"
 #include "core/rnr_state.h"
 #include "prefetch/prefetcher.h"
+#include "sim/trace_event.h"
 
 namespace rnr {
 
@@ -72,18 +73,14 @@ class RnrPrefetcher : public Prefetcher
     void onControl(const TraceRecord &rec, Tick now) override;
     bool inTargetRegion(Addr vaddr) const override;
     std::string name() const override { return "rnr"; }
-    /** Also routes lifecycle events to the shared "rnr" track and arms
-     *  the replay controller's window/pace events. */
-    void setTrace(TraceCollector *tr, std::uint16_t track) override;
-
-    /** Registers the replay-lane series: N_pace over time plus the
-     *  Sequence/Division-Table staging-buffer fill levels (bytes). */
-    void setTelemetry(TelemetrySampler *tm, unsigned core) override;
-
-    /** Keeps the collector for the Fig 11 per-window classification
-     *  hooks; replay prefetches themselves carry attribRnrSite(core)
-     *  as their site id (sim/attrib.h). */
-    void setAttrib(AttribCollector *at) override { at_ = at; }
+    /** Also routes lifecycle events to the shared "rnr" track, arms the
+     *  replay controller's window/pace events, registers the replay-
+     *  lane series (N_pace over time plus the Sequence/Division-Table
+     *  staging-buffer fill levels, bytes) and keeps the attribution
+     *  collector for the Fig 11 per-window classification hooks;
+     *  replay prefetches themselves carry attribRnrSite(core) as their
+     *  site id (sim/attrib.h). */
+    void attachProbes(const Probes &p, unsigned core) override;
 
     /** Bytes of sequence metadata currently resident in the staging /
      *  double buffers: staged-but-unflushed entries while recording,
@@ -232,6 +229,7 @@ class RnrPrefetcher : public Prefetcher
     std::uint64_t peak_seq_entries_ = 0;
     std::uint64_t peak_div_entries_ = 0;
 
+    TraceCollector *tr_ = nullptr;   ///< Null unless tracing is enabled.
     std::uint16_t tr_rnr_track_ = 0; ///< Cached TraceCollector::rnrTrack().
     AttribCollector *at_ = nullptr;  ///< Null unless attribution is on.
 };

@@ -41,12 +41,13 @@ CoreModel::setSource(TraceSource *src)
 }
 
 void
-CoreModel::attachTelemetry(TelemetrySampler *tm)
+CoreModel::attach(const Probes &p)
 {
-    tm_ = tm;
-    if (tm)
-        tm->addRate("core" + std::to_string(id_) + ".ipc_milli",
-                    [this] { return instrs_; });
+    tr_ = p.tr;
+    tm_ = p.tm;
+    if (p.tm)
+        p.tm->addRate("core" + std::to_string(id_) + ".ipc_milli",
+                      [this] { return instrs_; });
 }
 
 bool

@@ -57,16 +57,15 @@ class CoreModel
      */
     void setSource(TraceSource *src);
 
-    /** Routes this core's ControlRecord events to @p tr (null = off). */
-    void attachTrace(TraceCollector *tr) { tr_ = tr; }
-
     /**
-     * Registers this core's milli-IPC rate series with @p tm (null =
-     * detach) and makes step() offer the local clock to the sampler —
-     * the cores collectively drive the whole machine's sampling, since
-     * System::drive() interleaves them in local-time order.
+     * Attaches @p p (sim/probes.h): ControlRecord events go to p.tr;
+     * p.tm gets this core's milli-IPC rate series, and step() offers
+     * the local clock to it — the cores collectively drive the whole
+     * machine's sampling, since System::drive() interleaves them in
+     * local-time order.  p.at is unused (attribution is observed at
+     * the L2s and the prefetchers).
      */
-    void attachTelemetry(TelemetrySampler *tm);
+    void attach(const Probes &p);
 
     /** True when the feed is exhausted (may decode the next block). */
     bool

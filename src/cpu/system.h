@@ -63,32 +63,16 @@ class System
      */
     IterationResult runStreaming(const std::vector<TraceSource *> &sources);
 
-    /** Fans @p tr out to the memory hierarchy, prefetchers and cores
-     *  (null = detach).  Call after installing prefetchers, or rely on
-     *  MemorySystem::setPrefetcher re-applying it to late installs. */
+    /** Attaches @p p (sim/probes.h) to the memory hierarchy, its
+     *  prefetchers and the cores; prefetchers installed later inherit
+     *  it through MemorySystem::setPrefetcher. */
     void
-    attachTrace(TraceCollector *tr)
+    attach(const Probes &p)
     {
-        mem_.attachTrace(tr);
+        mem_.attach(p);
         for (auto &c : cores_)
-            c->attachTrace(tr);
+            c->attach(p);
     }
-
-    /** Fans @p tm out the same way (null = detach): the hierarchy and
-     *  the prefetchers register their probes, the cores drive the
-     *  sampling from their step() clocks. */
-    void
-    attachTelemetry(TelemetrySampler *tm)
-    {
-        mem_.attachTelemetry(tm);
-        for (auto &c : cores_)
-            c->attachTelemetry(tm);
-    }
-
-    /** Hands the attribution collector to the memory hierarchy (null =
-     *  detach); the cores never touch it — every attribution event is
-     *  observed at the L2s or the prefetchers (sim/attrib.h). */
-    void attachAttrib(AttribCollector *at) { mem_.attachAttrib(at); }
 
     /** Checkpoint visitor: every core, then the memory hierarchy.
      *  Prefetchers attach from outside (System does not own them) and

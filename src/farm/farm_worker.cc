@@ -111,7 +111,7 @@ farmWorkerMain(int fd)
                 // the cache — a hit would produce no events); store()
                 // keeps the normal persistence contract for the daemon.
                 TraceCollector tr(cfg.cores);
-                r = runExperimentInstrumented(cfg, &tr, nullptr, nullptr);
+                r = runExperimentInstrumented(cfg, {.tr = &tr});
                 ResultCache::instance().store(key, r);
                 const std::string out =
                     trace_dir + "/span_" +

@@ -18,6 +18,7 @@
 #include "sim/attrib.h"
 #include "sim/kernel.h"
 #include "sim/timeseries.h"
+#include "sim/trace_event.h"
 #include "tracestore/trace_reader.h"
 #include "tracestore/trace_store.h"
 #include "workloads/graph_gen.h"
@@ -60,8 +61,7 @@ struct Sim {
     /** Per-core emit buffers, reused across iterations. */
     std::vector<TraceBuffer> bufs;
 
-    Sim(const ExperimentConfig &cfg, TraceCollector *tr,
-        TelemetrySampler *tm, AttribCollector *at)
+    Sim(const ExperimentConfig &cfg, const Probes &probes)
         : sys(machineFor(cfg)), wl(makeWorkload(cfg)), bufs(cfg.cores)
     {
         RnrPrefetcher::Options rnr_opts;
@@ -74,12 +74,7 @@ struct Sim {
             prefetchers.back()->configureFor(*wl, c);
             sys.mem().setPrefetcher(c, prefetchers.back().get());
         }
-        if (tr)
-            sys.attachTrace(tr);
-        if (tm)
-            sys.attachTelemetry(tm);
-        if (at)
-            sys.attachAttrib(at);
+        sys.attach(probes);
 
         result.config = cfg;
         result.input_bytes = wl->inputBytes();
@@ -162,12 +157,11 @@ struct Sim {
  * is non-null).
  */
 ExperimentResult
-runMaterialized(const ExperimentConfig &cfg, TraceCollector *tr,
-                TelemetrySampler *tm, AttribCollector *at,
+runMaterialized(const ExperimentConfig &cfg, const Probes &probes,
                 TraceStore::Capture *cap)
 {
     g_simulated.fetch_add(1);
-    Sim sim(cfg, tr, tm, at);
+    Sim sim(cfg, probes);
     sim.runNative(cfg, 0, cfg.iterations, cap);
     return sim.finish(cfg);
 }
@@ -180,12 +174,11 @@ runMaterialized(const ExperimentConfig &cfg, TraceCollector *tr,
  * fails mid-stream.
  */
 ExperimentResult
-runFromStore(const ExperimentConfig &cfg, TraceCollector *tr,
-             TelemetrySampler *tm, AttribCollector *at,
+runFromStore(const ExperimentConfig &cfg, const Probes &probes,
              const TraceStore::Entry &entry)
 {
     g_simulated.fetch_add(1);
-    Sim sim(cfg, tr, tm, at);
+    Sim sim(cfg, probes);
 
     for (unsigned iter = 0; iter < cfg.iterations; ++iter) {
         // Advance workload-held replay state (e.g. PageRank's p_curr
@@ -217,8 +210,7 @@ runFromStore(const ExperimentConfig &cfg, TraceCollector *tr,
  * quarantined and recaptured once before giving up on the store.
  */
 ExperimentResult
-runWithTraceStore(const ExperimentConfig &cfg, TraceCollector *tr,
-                  TelemetrySampler *tm, AttribCollector *at)
+runWithTraceStore(const ExperimentConfig &cfg, const Probes &probes)
 {
     TraceStore &store = TraceStore::instance();
     const std::string wkey = cfg.workloadKey();
@@ -227,7 +219,7 @@ runWithTraceStore(const ExperimentConfig &cfg, TraceCollector *tr,
         TraceStore::Entry entry;
         if (store.acquire(wkey, entry) == TraceStore::Acquire::Hit) {
             try {
-                return runFromStore(cfg, tr, tm, at, entry);
+                return runFromStore(cfg, probes, entry);
             } catch (const CorruptTraceEntry &e) {
                 obs::LogLine(obs::LogLevel::Warn, "tracestore")
                     .msg("replay failed; quarantining and recapturing")
@@ -240,13 +232,13 @@ runWithTraceStore(const ExperimentConfig &cfg, TraceCollector *tr,
         // Owner: run natively, encoding each iteration as it finishes.
         TraceStore::Capture cap =
             store.beginCapture(wkey, cfg.iterations, cfg.cores);
-        ExperimentResult r = runMaterialized(cfg, tr, tm, at, &cap);
+        ExperimentResult r = runMaterialized(cfg, probes, &cap);
         cap.publish(r.input_bytes, r.target_bytes);
         return r;
     }
     // Two corrupt replays in a row: something is systematically wrong
     // with this entry's environment; simulate without the store.
-    return runMaterialized(cfg, tr, tm, at, nullptr);
+    return runMaterialized(cfg, probes, nullptr);
 }
 
 // ---- Full-state checkpoint capture / restore (src/ckpt) ----
@@ -376,19 +368,19 @@ makeWorkload(const ExperimentConfig &cfg)
 }
 
 ExperimentResult
-runExperimentInstrumented(const ExperimentConfig &cfg, TraceCollector *tr,
-                          TelemetrySampler *tm, AttribCollector *at)
+runExperimentInstrumented(const ExperimentConfig &cfg, const Probes &probes)
 {
     // The tracefile app already replays from disk; storing it again
     // would only duplicate the file.
     ExperimentResult r =
         (TraceStore::enabled() && cfg.app != "tracefile")
-            ? runWithTraceStore(cfg, tr, tm, at)
-            : runMaterialized(cfg, tr, tm, at, nullptr);
-    if (tm)
-        r.telemetry = std::make_shared<TelemetryBlob>(tm->harvest());
-    if (at) {
-        auto blob = std::make_shared<AttribBlob>(at->harvest());
+            ? runWithTraceStore(cfg, probes)
+            : runMaterialized(cfg, probes, nullptr);
+    if (probes.tm)
+        r.telemetry =
+            std::make_shared<TelemetryBlob>(probes.tm->harvest());
+    if (probes.at) {
+        auto blob = std::make_shared<AttribBlob>(probes.at->harvest());
         publishAttribMetrics(*blob);
         r.attrib = std::move(blob);
     }
@@ -402,8 +394,6 @@ runExperimentUncached(const ExperimentConfig &cfg)
     const bool want_samples =
         cfg.telemetry.enabled || telemetryEnvSampleCycles() > 0;
     const bool want_attrib = cfg.attrib.enabled || attribEnvEnabled();
-    if (!want_trace && !want_samples && !want_attrib)
-        return runExperimentInstrumented(cfg, nullptr, nullptr, nullptr);
 
     std::unique_ptr<TelemetrySampler> tm;
     if (want_samples)
@@ -419,11 +409,12 @@ runExperimentUncached(const ExperimentConfig &cfg)
                 ? cfg.attrib.region_top_k
                 : AttribCollector::kDefaultRegionTopK);
     if (!want_trace)
-        return runExperimentInstrumented(cfg, nullptr, tm.get(), at.get());
+        return runExperimentInstrumented(cfg,
+                                         {.tm = tm.get(), .at = at.get()});
 
     TraceCollector tr(cfg.cores, cfg.trace.ring_capacity);
-    ExperimentResult result =
-        runExperimentInstrumented(cfg, &tr, tm.get(), at.get());
+    ExperimentResult result = runExperimentInstrumented(
+        cfg, {.tr = &tr, .tm = tm.get(), .at = at.get()});
 
     // Sinks.  In a parallel sweep every traced cell without its own
     // cfg.trace.json_out publishes to the same RNR_TRACE_OUT path.  Each
@@ -507,7 +498,7 @@ runExperimentCheckpointed(const ExperimentConfig &cfg, unsigned window,
         throw std::invalid_argument(
             "checkpoint window must be in [1, iterations)");
     g_simulated.fetch_add(1);
-    Sim sim(cfg, nullptr, nullptr, nullptr);
+    Sim sim(cfg, {});
     sim.runNative(cfg, 0, window);
     snapshot_out = snapshotSim(cfg, sim, window);
     sim.runNative(cfg, window, cfg.iterations);
@@ -534,7 +525,7 @@ runExperimentFromSnapshot(const ExperimentConfig &cfg,
                 std::to_string(cfg.iterations) + ")"));
 
     g_simulated.fetch_add(1);
-    Sim sim(cfg, nullptr, nullptr, nullptr);
+    Sim sim(cfg, {});
     restoreSim(cfg, sim, reader);
     ckpt::CheckpointStore::instance().noteRestore();
     sim.runNative(cfg, window, cfg.iterations);

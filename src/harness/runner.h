@@ -30,13 +30,10 @@
 #include <vector>
 
 #include "harness/experiment.h"
-#include "sim/trace_event.h"
+#include "sim/probes.h"
 #include "workloads/workload.h"
 
 namespace rnr {
-
-class AttribCollector;
-class TelemetrySampler;
 
 /** Instantiates the workload named by @p cfg (app + input). */
 std::unique_ptr<Workload> makeWorkload(const ExperimentConfig &cfg);
@@ -51,23 +48,21 @@ std::unique_ptr<Workload> makeWorkload(const ExperimentConfig &cfg);
 ExperimentResult runExperimentUncached(const ExperimentConfig &cfg);
 
 /**
- * Simulates @p cfg with its instruments attached: events into @p tr
- * (built for cfg.cores tracks), periodic counter samples into @p tm and
- * prefetch-quality attribution into @p at — all caller-owned, any may
- * be null.  Always simulates, never consulting or populating the result
- * cache, because a cache hit would return counters without events,
- * samples or attribution; pass all three null to just bypass the cache.
- * @p tm's series land on the result as ExperimentResult::telemetry;
- * @p at's harvest lands as ExperimentResult::attrib and is mirrored into
- * the process metrics registry (sim/attrib.h).  No instrument changes
+ * Simulates @p cfg with @p probes attached (sim/probes.h): events into
+ * probes.tr (built for cfg.cores tracks), periodic counter samples into
+ * probes.tm and prefetch-quality attribution into probes.at.  Always
+ * simulates, never consulting or populating the result cache, because a
+ * cache hit would return counters without events, samples or
+ * attribution; pass `{}` to just bypass the cache.  probes.tm's series
+ * land on the result as ExperimentResult::telemetry; probes.at's
+ * harvest lands as ExperimentResult::attrib and is mirrored into the
+ * process metrics registry (sim/attrib.h).  No instrument changes
  * the returned counters (tests/sim/trace_event_test.cc,
  * tests/harness/report_test.cc and tests/sim/attrib_test.cc assert
  * bit-equality).
  */
 ExperimentResult runExperimentInstrumented(const ExperimentConfig &cfg,
-                                           TraceCollector *tr,
-                                           TelemetrySampler *tm,
-                                           AttribCollector *at);
+                                           const Probes &probes);
 
 /**
  * Simulates @p cfg, consulting the in-process cache and the file cache

@@ -62,14 +62,14 @@ Cache::reset()
 }
 
 void
-Cache::setTrace(TraceCollector *tr, std::uint16_t track,
-                std::uint8_t level)
+Cache::attach(const Probes &p, std::uint16_t track, std::uint8_t level)
 {
-    tr_ = tr;
-    tr_track_ = track;
+    tr_ = p.tr;
+    at_ = p.at;
+    track_ = track;
     tr_level_ = level;
-    mshr_.setTrace(tr, track, false);
-    pq_.setTrace(tr, track, true);
+    mshr_.setTrace(p.tr, track, false);
+    pq_.setTrace(p.tr, track, true);
 }
 
 std::size_t

@@ -20,6 +20,7 @@
 #include "mem/mshr.h"
 #include "sim/attrib.h"
 #include "sim/config.h"
+#include "sim/probes.h"
 #include "sim/stats.h"
 #include "sim/trace_event.h"
 #include "sim/types.h"
@@ -138,9 +139,9 @@ class Cache
         }
         ++ctr_.misses;
         if (at_)
-            at_->onDemandMiss(at_core_, block);
+            at_->onDemandMiss(track_, block);
         if (tr_)
-            tr_->emit(tr_track_, TraceEventType::CacheMiss, now, block,
+            tr_->emit(track_, TraceEventType::CacheMiss, now, block,
                       tr_level_);
         return nullptr;
     }
@@ -230,7 +231,7 @@ class Cache
                 // A prefetch displaced a line the demand stream owned
                 // (demand-filled, or a prefetch that proved useful):
                 // remember the victim so a re-miss charges pollution.
-                at_->onPrefetchEvictsDemand(at_core_, site,
+                at_->onPrefetchEvictsDemand(track_, site,
                                             victim->tag);
             }
         }
@@ -246,7 +247,7 @@ class Cache
         victim->rrpv = 2; // SRRIP insertion: "long" re-reference interval
         ++(prefetched ? ctr_.fills_prefetch : ctr_.fills_demand);
         if (tr_)
-            tr_->emit(tr_track_, TraceEventType::CacheFill, fill_time,
+            tr_->emit(track_, TraceEventType::CacheFill, fill_time,
                       block, tr_level_ + (prefetched ? 4u : 0u));
         return ev;
     }
@@ -263,23 +264,14 @@ class Cache
     /** Invalidates every line and clears the MSHR file. */
     void reset();
 
-    /** Routes this level's miss/fill (and both MSHR files') events to
-     *  @p tr's @p track; @p level tags events (0 = L1, 1 = L2, 2 = LLC).
-     *  Pass tr = nullptr to detach. */
-    void setTrace(TraceCollector *tr, std::uint16_t track,
-                  std::uint8_t level);
-
-    /** Routes this level's attribution events (useful hits, unused
-     *  evictions, pollution-filter traffic) to @p at as @p core; null =
-     *  detach.  Only L2s are attached — their counters are the ones
-     *  IterStats aggregates, which is what makes attribution totals
-     *  reconcile exactly (sim/attrib.h). */
-    void
-    setAttrib(AttribCollector *at, unsigned core)
-    {
-        at_ = at;
-        at_core_ = core;
-    }
+    /** Attaches @p p (sim/probes.h): this level's miss/fill events and
+     *  both MSHR files' go to p.tr's @p track, tagged with @p level
+     *  (0 = L1, 1 = L2, 2 = LLC); attribution events (useful hits,
+     *  unused evictions, pollution-filter traffic) go to p.at as core
+     *  @p track — only the private L2s get p.at, and a private level's
+     *  track is its core.  p.tm is unused: the memory system registers
+     *  this level's probes. */
+    void attach(const Probes &p, std::uint16_t track, std::uint8_t level);
 
     /** Number of valid lines (tests and occupancy probes). */
     std::size_t residentCount() const;
@@ -321,10 +313,9 @@ class Cache
     StatGroup stats_;
     CacheCounters ctr_; ///< Handles into stats_; keep declared after it.
     TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    std::uint16_t tr_track_ = 0;
+    std::uint16_t track_ = 0; ///< Trace track; also the attribution core.
     std::uint8_t tr_level_ = 0;
     AttribCollector *at_ = nullptr; ///< Null unless attribution is on.
-    unsigned at_core_ = 0;
 };
 
 } // namespace rnr

@@ -31,44 +31,39 @@ MemorySystem::setPrefetcher(unsigned core, Prefetcher *pf)
                           prefetchers_[core]->hasTargetRegions()};
     if (pf) {
         pf->attach(this, core);
-        if (tr_)
-            pf->setTrace(tr_, static_cast<std::uint16_t>(core));
-        if (tm_)
-            pf->setTelemetry(tm_, core);
-        if (at_)
-            pf->setAttrib(at_);
+        pf->attachProbes(probes_, core);
     }
 }
 
 void
-MemorySystem::attachTrace(TraceCollector *tr)
+MemorySystem::attach(const Probes &p)
 {
-    tr_ = tr;
-    const std::uint16_t mem_track = tr ? tr->memTrack() : 0;
+    probes_ = p;
+    // Attribution attaches to the private L2s only: their counters are
+    // the ones SystemCounters folds into IterStats (pf_issued /
+    // pf_useful / pf_late_merged), so hooking exactly these levels is
+    // what makes the attrib totals reconcile exactly.
+    const Probes trace_only{.tr = p.tr};
+    const std::uint16_t mem_track = p.tr ? p.tr->memTrack() : 0;
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         const auto track = static_cast<std::uint16_t>(c);
-        l1d_[c]->setTrace(tr, track, 0);
-        l2_[c]->setTrace(tr, track, 1);
-        prefetchers_[c]->setTrace(tr, track);
+        l1d_[c]->attach(trace_only, track, 0);
+        l2_[c]->attach(p, track, 1);
     }
-    llc_->setTrace(tr, mem_track, 2);
-    dram_.setTrace(tr, mem_track);
-}
+    llc_->attach(trace_only, mem_track, 2);
+    dram_.setTrace(p.tr, mem_track);
 
-void
-MemorySystem::attachTelemetry(TelemetrySampler *tm)
-{
-    tm_ = tm;
+    TelemetrySampler *tm = p.tm;
     h_miss_latency_ = tm ? &tm->histogram("l2.demand_miss_latency") : nullptr;
     h_pf_latency_ = tm ? &tm->histogram("l2.prefetch_fill_latency") : nullptr;
     if (tm) {
         for (unsigned c = 0; c < cfg_.cores; ++c) {
-            const std::string p = "core" + std::to_string(c) + ".";
+            const std::string name = "core" + std::to_string(c) + ".";
             Cache *l2 = l2_[c].get();
-            tm->addSeries(p + "l2_mshr_occupancy", [l2] {
+            tm->addSeries(name + "l2_mshr_occupancy", [l2] {
                 return static_cast<std::uint64_t>(l2->mshr().inFlight());
             });
-            tm->addSeries(p + "l2_pf_queue_depth", [l2] {
+            tm->addSeries(name + "l2_pf_queue_depth", [l2] {
                 return static_cast<std::uint64_t>(
                     l2->prefetchQueue().inFlight());
             });
@@ -81,21 +76,7 @@ MemorySystem::attachTelemetry(TelemetrySampler *tm)
         });
     }
     for (unsigned c = 0; c < cfg_.cores; ++c)
-        prefetchers_[c]->setTelemetry(tm, c);
-}
-
-void
-MemorySystem::attachAttrib(AttribCollector *at)
-{
-    at_ = at;
-    // Attribution attaches to the private L2s only: their counters are
-    // the ones SystemCounters folds into IterStats (pf_issued /
-    // pf_useful / pf_late_merged), so hooking exactly these levels is
-    // what makes the attrib totals reconcile exactly.
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-        l2_[c]->setAttrib(at, c);
-        prefetchers_[c]->setAttrib(at);
-    }
+        prefetchers_[c]->attachProbes(p, c);
 }
 
 void
@@ -175,9 +156,9 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
         if (is_write)
             l1.markDirty(block, t); // will be resident once filled
         ++l1.ctr().mshr_merges;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::MshrMerge, t, block, 0);
+        if (probes_.tr)
+            probes_.tr->emit(static_cast<std::uint16_t>(core),
+                             TraceEventType::MshrMerge, t, block, 0);
         return res;
     }
     if (l1.mshr().full()) {
@@ -215,9 +196,9 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
         fill = std::max(t2, e->fill) + l2.config().latency;
         info.merged = true;
         ++l2.ctr().mshr_merges;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::MshrMerge, t2, block, 1);
+        if (probes_.tr)
+            probes_.tr->emit(static_cast<std::uint16_t>(core),
+                             TraceEventType::MshrMerge, t2, block, 1);
         if (target) {
             ++l2.ctr().target_accesses;
             ++l2.ctr().target_merges;
@@ -229,14 +210,14 @@ MemorySystem::demandAccess(unsigned core, Addr vaddr, bool is_write,
         info.merged = true;
         info.merged_into_prefetch = pe->prefetch;
         ++l2.ctr().mshr_merges;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::MshrMerge, t2, block,
-                      pe->prefetch ? 5 : 1);
+        if (probes_.tr)
+            probes_.tr->emit(static_cast<std::uint16_t>(core),
+                             TraceEventType::MshrMerge, t2, block,
+                             pe->prefetch ? 5 : 1);
         if (pe->prefetch) {
             ++l2.ctr().demand_merged_into_prefetch;
-            if (at_)
-                at_->onLateMerged(pe->site, block);
+            if (probes_.at)
+                probes_.at->onLateMerged(pe->site, block);
             pe->prefetch = false; // count each late prefetch once
         }
         if (target) {
@@ -294,17 +275,17 @@ MemorySystem::prefetchIntoL2(unsigned core, Addr vaddr, Tick now,
         l2.prefetchQueue().find(block)) {
         out.redundant = true;
         ++l2.ctr().prefetch_redundant;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::PrefetchDrop, now, block, 0);
+        if (probes_.tr)
+            probes_.tr->emit(static_cast<std::uint16_t>(core),
+                             TraceEventType::PrefetchDrop, now, block, 0);
         return out;
     }
     if (l2.prefetchQueue().full()) {
         out.mshr_full = true;
         ++l2.ctr().prefetch_mshr_full;
-        if (tr_)
-            tr_->emit(static_cast<std::uint16_t>(core),
-                      TraceEventType::PrefetchDrop, now, block, 1);
+        if (probes_.tr)
+            probes_.tr->emit(static_cast<std::uint16_t>(core),
+                             TraceEventType::PrefetchDrop, now, block, 1);
         return out;
     }
 
@@ -316,14 +297,14 @@ MemorySystem::prefetchIntoL2(unsigned core, Addr vaddr, Tick now,
     EvictResult ev = l2.insert(block, fill, true, false, site);
     handleL2Evict(core, ev, now);
     ++l2.ctr().prefetches_issued;
-    if (at_)
-        at_->onIssued(site, block);
-    if (tr_) {
+    if (probes_.at)
+        probes_.at->onIssued(site, block);
+    if (probes_.tr) {
         const auto track = static_cast<std::uint16_t>(core);
-        tr_->emit(track, TraceEventType::PrefetchIssue, now, block,
-                  fill - now);
-        tr_->emit(track, TraceEventType::PrefetchFill, fill, block,
-                  fill - now);
+        probes_.tr->emit(track, TraceEventType::PrefetchIssue, now, block,
+                         fill - now);
+        probes_.tr->emit(track, TraceEventType::PrefetchFill, fill, block,
+                         fill - now);
     }
 
     out.issued = true;

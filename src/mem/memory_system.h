@@ -19,13 +19,12 @@
 #include "mem/tlb.h"
 #include "prefetch/prefetcher.h"
 #include "sim/config.h"
+#include "sim/probes.h"
 #include "sim/types.h"
 
 namespace rnr {
 
-class TelemetrySampler;
 class Log2Histogram;
-class AttribCollector;
 
 /** Result of a demand access, as seen by the core model. */
 struct DemandResult {
@@ -87,35 +86,17 @@ class MemorySystem
     void resetTiming();
 
     /**
-     * Fans @p tr out to every cache level, both MSHR files, the DRAM
-     * model and the attached prefetchers (null = detach).  Core-private
-     * structures use the core's track; LLC + DRAM share the "mem" track.
-     * Prefetchers installed later (setPrefetcher) inherit it.
+     * Attaches @p p (sim/probes.h) to the hierarchy and the installed
+     * prefetchers; prefetchers installed later (setPrefetcher) inherit
+     * it.  Trace: every cache level, both MSHR files and the DRAM
+     * model — core-private structures on the core's track, LLC + DRAM
+     * on the shared "mem" track.  Telemetry: per-core L2 MSHR
+     * occupancy and prefetch-queue depth, DRAM read/write-queue depth,
+     * and the L2 demand-miss and prefetch-to-fill latency histograms.
+     * Attribution: the private L2s (useful hits, unused evictions,
+     * pollution) plus the prefetch-issue and late-merge hooks here.
      */
-    void attachTrace(TraceCollector *tr);
-    TraceCollector *trace() { return tr_; }
-
-    /**
-     * Registers this hierarchy's telemetry sources with @p tm (null =
-     * detach): per-core L2 MSHR occupancy and prefetch-queue depth
-     * probes, DRAM read/write-queue depth probes, and the L2 demand-
-     * miss and prefetch-to-fill latency histograms.  Forwards to the
-     * attached prefetchers (Prefetcher::setTelemetry); prefetchers
-     * installed later (setPrefetcher) inherit it.
-     */
-    void attachTelemetry(TelemetrySampler *tm);
-    TelemetrySampler *telemetry() { return tm_; }
-
-    /**
-     * Attaches the attribution collector (null = detach): each private
-     * L2 reports useful hits / unused evictions / pollution events, the
-     * prefetch-issue and late-merge hooks here report the rest, and the
-     * attached prefetchers get Prefetcher::setAttrib (RnR registers its
-     * Fig 11 classification).  Prefetchers installed later
-     * (setPrefetcher) inherit it, mirroring trace/telemetry.
-     */
-    void attachAttrib(AttribCollector *at);
-    AttribCollector *attrib() { return at_; }
+    void attach(const Probes &p);
 
     /** Checkpoint visitor: every owned cache level, the per-core TLBs
      *  and the DRAM model.  Attached prefetchers are NOT walked here —
@@ -162,9 +143,7 @@ class MemorySystem
     std::vector<Prefetcher *> prefetchers_;
     std::vector<PfDispatch> pf_dispatch_; ///< Parallel to prefetchers_.
     NullPrefetcher null_pf_;
-    TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    TelemetrySampler *tm_ = nullptr; ///< Null unless sampling is enabled.
-    AttribCollector *at_ = nullptr; ///< Null unless attribution is on.
+    Probes probes_; ///< All null unless observed (sim/probes.h).
     /** Latency sinks, non-null only while telemetry is attached. */
     Log2Histogram *h_miss_latency_ = nullptr;
     Log2Histogram *h_pf_latency_ = nullptr;

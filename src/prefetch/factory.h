@@ -63,25 +63,10 @@ class CombinedPrefetcher : public Prefetcher
     std::string name() const override { return "rnr-combined"; }
 
     void
-    setTrace(TraceCollector *tr, std::uint16_t track) override
+    attachProbes(const Probes &p, unsigned core) override
     {
-        Prefetcher::setTrace(tr, track);
-        rnr_->setTrace(tr, track);
-        stream_->setTrace(tr, track);
-    }
-
-    void
-    setTelemetry(TelemetrySampler *tm, unsigned core) override
-    {
-        rnr_->setTelemetry(tm, core);
-        stream_->setTelemetry(tm, core);
-    }
-
-    void
-    setAttrib(AttribCollector *at) override
-    {
-        rnr_->setAttrib(at);
-        stream_->setAttrib(at);
+        rnr_->attachProbes(p, core);
+        stream_->attachProbes(p, core);
     }
 
     RnrPrefetcher &rnr() { return *rnr_; }

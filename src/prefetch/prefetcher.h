@@ -16,16 +16,14 @@
 #include <string>
 
 #include "ckpt/serde.h"
+#include "sim/probes.h"
 #include "sim/stats.h"
-#include "sim/trace_event.h"
 #include "sim/types.h"
 #include "trace/record.h"
 
 namespace rnr {
 
-class AttribCollector;
 class MemorySystem;
-class TelemetrySampler;
 class Workload;
 
 /** Everything the L2 tells its prefetcher about one demand access. */
@@ -115,44 +113,20 @@ class Prefetcher
     virtual std::string name() const = 0;
 
     /**
-     * Routes this prefetcher's events to @p tr (null = tracing off).
-     * Events from per-core internals go to track @p track (the core's);
-     * RnR overrides this to also emit onto the shared "rnr" track.
-     * Composites (CombinedPrefetcher) forward to their children.
+     * Hands this prefetcher the run's collectors (sim/probes.h states
+     * the attach rule).  The default ignores them: the memory system's
+     * hooks and queue probes cover baseline prefetchers, and
+     * attribution site ids flow through issuePrefetch()'s site
+     * argument.  RnR overrides this to emit its record/replay
+     * lifecycle, register its replay-lane series and report its Fig 11
+     * classification; composites forward to their children.
      */
     virtual void
-    setTrace(TraceCollector *tr, std::uint16_t track)
+    attachProbes(const Probes &p, unsigned core)
     {
-        tr_ = tr;
-        tr_track_ = track;
-    }
-
-    /**
-     * Lets a prefetcher register time-series probes with @p tm (null =
-     * sampling off; sim/timeseries.h).  The default registers nothing:
-     * baseline prefetchers are covered by the memory system's queue
-     * probes.  RnR overrides this to expose its replay lane (N_pace,
-     * metadata buffer fill).  Called by MemorySystem::attachTelemetry
-     * and re-applied to late setPrefetcher() installs, mirroring
-     * setTrace.
-     */
-    virtual void
-    setTelemetry(TelemetrySampler *tm, unsigned core)
-    {
-        (void)tm;
+        (void)p;
         (void)core;
     }
-
-    /**
-     * Hands a prefetcher the attribution collector (null = off;
-     * sim/attrib.h).  The default needs nothing: site ids flow through
-     * the issuePrefetch() site argument, not through the collector.
-     * RnR overrides this to report its Fig 11 timeliness classification
-     * per replay window; composites forward to their children.  Called
-     * by MemorySystem::attachAttrib and re-applied to late
-     * setPrefetcher() installs, mirroring setTrace/setTelemetry.
-     */
-    virtual void setAttrib(AttribCollector *at) { (void)at; }
 
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
@@ -193,8 +167,6 @@ class Prefetcher
 
     MemorySystem *ms_ = nullptr;
     unsigned core_ = 0;
-    TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
-    std::uint16_t tr_track_ = 0;
     StatGroup stats_{"prefetcher"};
     // Handles for the per-issue outcome counters, declared once here;
     // attach() only rename()s the group, so they stay valid.

@@ -188,10 +188,9 @@ struct AttribBlob {
 // ---- The collector ----
 
 /**
- * The per-simulation attribution sink.  Owned by whoever runs the
- * simulation (the runner, the report generator, a test); components
- * receive a raw pointer via System::attachAttrib() — null pointer =
- * attribution off, the usual one-branch discipline.
+ * The per-simulation attribution sink.  Attached as Probes::at (attach
+ * rule in sim/probes.h: null = attribution off, the usual one-branch
+ * discipline).
  *
  * Hooks are placed at the *exact* source lines that bump the
  * corresponding hardware counters (Cache / MemorySystem /

@@ -182,11 +182,10 @@ struct TelemetryBlob {
 };
 
 /**
- * The per-simulation telemetry sink.  Owned by whoever runs the
- * simulation (the runner, the report generator, a test); components
- * receive a raw pointer via System::attachTelemetry() and register
- * their probes/histograms at attach time, so the harness never needs
- * per-component wiring knowledge.
+ * The per-simulation telemetry sink.  Attached as Probes::tm (attach
+ * rule in sim/probes.h); components register their probes/histograms
+ * at attach time, so the harness never needs per-component wiring
+ * knowledge.
  *
  * Sampling is driven from CoreModel::step(): every core offers its
  * local clock through maybeSample(), and the sampler fires once the

@@ -173,9 +173,8 @@ struct WindowDiag {
 
 /**
  * The per-simulation event sink: one ring per track plus the window
- * aggregate table.  Owned by whoever runs the simulation (the runner,
- * the rnr-trace tool, a test); components receive a raw pointer via
- * System::attachTrace() and must not outlive it.
+ * aggregate table.  Attached as Probes::tr; ownership and lifetime
+ * follow the attach rule in sim/probes.h.
  */
 class TraceCollector
 {

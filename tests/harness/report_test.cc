@@ -6,11 +6,14 @@
  *    (the tentpole "observation only" guarantee);
  *  - the harvested blob carries the RnR replay-lane series (n_pace,
  *    metadata-buffer fill) plus the memory-system occupancy series;
+ *  - a 2-core rnr-combined run registers exactly the documented series
+ *    and histograms (no rename, drop or double registration);
  *  - buildSweepReport + reportJson emit a valid rnr-report-v2 document
  *    (telemetry plus the embedded rnr-attrib-v1 attribution object);
  *  - reportHtml is one self-contained page (inline SVG, no fetches);
  *  - the json_parse DOM reader handles the formats we feed it.
  */
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -59,12 +62,12 @@ TEST_F(ReportFixture, SampledRunIsBitIdenticalToUnsampled)
     const ExperimentConfig cfg = rnrConfig();
 
     const ExperimentResult plain =
-        runExperimentInstrumented(cfg, nullptr, nullptr, nullptr);
+        runExperimentInstrumented(cfg, {});
 
     TelemetrySampler tm(256); // aggressive period: ~32x denser than the
                               // default, to maximise observable skew
     const ExperimentResult sampled =
-        runExperimentInstrumented(cfg, nullptr, &tm, nullptr);
+        runExperimentInstrumented(cfg, {.tm = &tm});
 
     ASSERT_EQ(sampled.iterations.size(), plain.iterations.size());
     for (std::size_t i = 0; i < plain.iterations.size(); ++i) {
@@ -92,7 +95,7 @@ TEST_F(ReportFixture, BlobCarriesTheReplayLaneAndMemorySeries)
 
     TelemetrySampler tm(512);
     const ExperimentResult r =
-        runExperimentInstrumented(cfg, nullptr, &tm, nullptr);
+        runExperimentInstrumented(cfg, {.tm = &tm});
     ASSERT_NE(r.telemetry, nullptr);
     const TelemetryBlob &blob = *r.telemetry;
 
@@ -121,6 +124,50 @@ TEST_F(ReportFixture, BlobCarriesTheReplayLaneAndMemorySeries)
 
     // And the latency distributions were recorded.
     EXPECT_FALSE(blob.histograms.empty());
+}
+
+TEST_F(ReportFixture, RnrCombinedRegistersExactlyTheDocumentedProbes)
+{
+    // The docs/HARNESS.md §13 table, expanded for two cores: a probe
+    // renamed, dropped or registered twice fails here.
+    ExperimentConfig cfg = rnrConfig();
+    cfg.prefetcher = PrefetcherKind::RnrCombined;
+
+    TelemetrySampler tm(512);
+    const ExperimentResult r = runExperimentInstrumented(cfg, {.tm = &tm});
+    ASSERT_NE(r.telemetry, nullptr);
+
+    std::vector<std::string> series;
+    for (const TelemetrySeriesBlob &s : r.telemetry->series)
+        series.push_back(s.name);
+    std::sort(series.begin(), series.end());
+    const std::vector<std::string> want_series = {
+        "core0.ipc_milli",
+        "core0.l2_mshr_occupancy",
+        "core0.l2_pf_queue_depth",
+        "core1.ipc_milli",
+        "core1.l2_mshr_occupancy",
+        "core1.l2_pf_queue_depth",
+        "dram.read_queue_depth",
+        "dram.write_queue_depth",
+        "rnr.core0.div_buffer_bytes",
+        "rnr.core0.n_pace",
+        "rnr.core0.seq_buffer_bytes",
+        "rnr.core1.div_buffer_bytes",
+        "rnr.core1.n_pace",
+        "rnr.core1.seq_buffer_bytes",
+    };
+    EXPECT_EQ(series, want_series);
+
+    std::vector<std::string> histograms;
+    for (const TelemetryHistogramBlob &h : r.telemetry->histograms)
+        histograms.push_back(h.name);
+    std::sort(histograms.begin(), histograms.end());
+    const std::vector<std::string> want_histograms = {
+        "l2.demand_miss_latency",
+        "l2.prefetch_fill_latency",
+    };
+    EXPECT_EQ(histograms, want_histograms);
 }
 
 TEST_F(ReportFixture, ReportJsonIsValidAndCompleteRnrReportV2)

@@ -239,10 +239,10 @@ TEST_F(TracedRunFixture, TracedRunIsBitIdenticalToUntraced)
 {
     const ExperimentConfig cfg = rnrConfig();
     const ExperimentResult plain =
-        runExperimentInstrumented(cfg, nullptr, nullptr, nullptr);
+        runExperimentInstrumented(cfg, {});
     TraceCollector tr(cfg.cores, 4096);
     const ExperimentResult traced =
-        runExperimentInstrumented(cfg, &tr, nullptr, nullptr);
+        runExperimentInstrumented(cfg, {.tr = &tr});
 
     EXPECT_GT(tr.eventsTotal(), 0u) << "collector saw no events";
     ASSERT_EQ(plain.iterations.size(), traced.iterations.size());
@@ -263,7 +263,7 @@ TEST_F(TracedRunFixture, ReportReconcilesExactlyWithIterationCounters)
     // Tiny rings force heavy wrap; the report must stay exact anyway.
     TraceCollector tr(cfg.cores, 64);
     const ExperimentResult res =
-        runExperimentInstrumented(cfg, &tr, nullptr, nullptr);
+        runExperimentInstrumented(cfg, {.tr = &tr});
     EXPECT_GT(tr.eventsOverwritten(), 0u)
         << "rings never wrapped; grow the workload or shrink the rings";
 
@@ -301,7 +301,7 @@ TEST_F(TracedRunFixture, RnrLifecycleLandsOnTheRnrTrack)
     // Large enough that the rnr track (~125k events for this config)
     // never wraps; the busier core/mem tracks are allowed to.
     TraceCollector tr(cfg.cores, 1u << 17);
-    runExperimentInstrumented(cfg, &tr, nullptr, nullptr);
+    runExperimentInstrumented(cfg, {.tr = &tr});
 
     bool saw_record_start = false, saw_replay_start = false;
     bool saw_window_open = false, saw_meta_refill = false;
