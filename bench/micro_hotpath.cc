@@ -15,6 +15,9 @@
  *  - none:    no prefetcher — the floor every other config builds on.
  *  - stream:  stream prefetcher attached — adds the Prefetcher::onAccess
  *             and issuePrefetch counter paths to the measurement.
+ *  - misb, bingo: the two paper baselines whose metadata tables
+ *             (sim/flat_table.h) dominate the zoo sweep's heavy cells —
+ *             the prefetch-layer cost on top of none.
  *  - sampled: like none but with a live TelemetrySampler attached and
  *             offered the clock per op — the *enabled* sampling cost
  *             (the disabled cost is what none measures, since the
@@ -389,6 +392,10 @@ BM_WarmupFork(benchmark::State &state)
 BENCHMARK_CAPTURE(BM_DemandAccess, none, PrefetcherKind::None)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DemandAccess, stream, PrefetcherKind::Stream)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DemandAccess, misb, PrefetcherKind::Misb)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DemandAccess, bingo, PrefetcherKind::Bingo)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessSampled)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessObsGated)->Unit(benchmark::kMillisecond);

@@ -366,60 +366,6 @@ seq(Ar &ar, std::vector<T> &v)
         visitValue(ar, e);
 }
 
-/** Scalar list field (std::list order preserved): u64 count + elements
- *  front-to-back.  Used for the LRU/FIFO order lists that accompany the
- *  prefetchers' hash tables. */
-template <class Ar, class List>
-void
-scalarList(Ar &ar, List &l)
-{
-    std::uint64_t n = l.size();
-    ar.scalar(n);
-    if constexpr (Ar::kLoading) {
-        l.clear();
-        if (!checkCount(ar, n, 8))
-            return;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            typename List::value_type v{};
-            ar.scalar(v);
-            l.push_back(v);
-        }
-    } else {
-        for (auto &v : l)
-            ar.scalar(v);
-    }
-}
-
-/** Scalar-keyed map field: u64 count + (key, value) scalar pairs in the
- *  map's iteration order.  Loading rebuilds via operator[], so the
- *  restored map has identical contents; hash-map iteration order may
- *  differ from the original, which is fine for key-only lookups (every
- *  serialized map in the simulator is one). */
-template <class Ar, class Map>
-void
-kvMap(Ar &ar, Map &m)
-{
-    std::uint64_t n = m.size();
-    ar.scalar(n);
-    if constexpr (Ar::kLoading) {
-        m.clear();
-        if (!checkCount(ar, n, 16))
-            return;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            typename Map::key_type k{};
-            typename Map::mapped_type v{};
-            ar.scalar(k);
-            ar.scalar(v);
-            m[k] = v;
-        }
-    } else {
-        for (auto &kv : m) {
-            ar.scalar(kv.first);
-            ar.scalar(kv.second);
-        }
-    }
-}
-
 } // namespace ckpt
 } // namespace rnr
 

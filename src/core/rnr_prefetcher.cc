@@ -374,14 +374,13 @@ RnrPrefetcher::sweepOutOfWindow(Tick now)
     if (cur == last_window_)
         return;
     last_window_ = cur;
-    std::erase_if(pf_status_, [&](const auto &kv) {
-        if (kv.second.window + 1 < cur) {
+    pf_status_.eraseIf([&](Addr block, const PfRecord &rec) {
+        if (rec.window + 1 < cur) {
             ++ctr_.pf_out_of_window;
             if (at_)
-                at_->onRnrClass(RnrTimeliness::OutOfWindow,
-                                kv.second.window);
-            emitRnr(TraceEventType::PfOutOfWindow, now, 0,
-                    kv.second.window, kv.first);
+                at_->onRnrClass(RnrTimeliness::OutOfWindow, rec.window);
+            emitRnr(TraceEventType::PfOutOfWindow, now, 0, rec.window,
+                    block);
             return true;
         }
         return false;
@@ -391,9 +390,9 @@ RnrPrefetcher::sweepOutOfWindow(Tick now)
 void
 RnrPrefetcher::onEvict(Addr block)
 {
-    auto it = pf_status_.find(block);
-    if (it != pf_status_.end() && it->second.status == PfStatus::Pending)
-        it->second.status = PfStatus::Evicted;
+    PfRecord *rec = pf_status_.find(block);
+    if (rec && rec->status == PfStatus::Pending)
+        rec->status = PfStatus::Evicted;
 }
 
 void
@@ -472,31 +471,24 @@ RnrPrefetcher::handleReplayAccess(const L2AccessInfo &info)
     ++internal_.cur_struct_read;
 
     // Classify the outcome of a prior replay prefetch of this block.
-    auto it = pf_status_.find(info.block);
-    if (it != pf_status_.end()) {
-        if (it->second.status == PfStatus::Evicted) {
+    if (const PfRecord *rec = pf_status_.find(info.block)) {
+        RnrTimeliness cls = RnrTimeliness::OnTime;
+        TraceEventType ev = TraceEventType::PfOntime;
+        if (rec->status == PfStatus::Evicted) {
             ++ctr_.pf_early;
-            if (at_)
-                at_->onRnrClass(RnrTimeliness::Early,
-                                it->second.window);
-            emitRnr(TraceEventType::PfEarly, info.now, 0,
-                    it->second.window, info.block);
-        } else if (it->second.fill_time > info.now) {
+            cls = RnrTimeliness::Early;
+            ev = TraceEventType::PfEarly;
+        } else if (rec->fill_time > info.now) {
             ++ctr_.pf_late;
-            if (at_)
-                at_->onRnrClass(RnrTimeliness::Late,
-                                it->second.window);
-            emitRnr(TraceEventType::PfLate, info.now, 0,
-                    it->second.window, info.block);
+            cls = RnrTimeliness::Late;
+            ev = TraceEventType::PfLate;
         } else {
             ++ctr_.pf_ontime;
-            if (at_)
-                at_->onRnrClass(RnrTimeliness::OnTime,
-                                it->second.window);
-            emitRnr(TraceEventType::PfOntime, info.now, 0,
-                    it->second.window, info.block);
         }
-        pf_status_.erase(it);
+        if (at_)
+            at_->onRnrClass(cls, rec->window);
+        emitRnr(ev, info.now, 0, rec->window, info.block);
+        pf_status_.erase(info.block);
     }
 
     const std::uint64_t n =

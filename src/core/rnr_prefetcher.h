@@ -21,12 +21,12 @@
 #define RNR_CORE_RNR_PREFETCHER_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/replay_control.h"
 #include "core/rnr_state.h"
 #include "prefetch/prefetcher.h"
+#include "sim/flat_table.h"
 #include "sim/trace_event.h"
 
 namespace rnr {
@@ -127,25 +127,7 @@ class RnrPrefetcher : public Prefetcher
         ar.scalar(seq_streamed_);
         ar.scalar(div_streamed_);
         ar.scalar(last_window_);
-        std::uint64_t n = pf_status_.size();
-        ar.scalar(n);
-        if constexpr (Ar::kLoading) {
-            pf_status_.clear();
-            if (!ckpt::checkCount(ar, n, 32))
-                return;
-            for (std::uint64_t i = 0; i < n; ++i) {
-                Addr block = 0;
-                ar.scalar(block);
-                PfRecord rec{};
-                rec.visitState(ar);
-                pf_status_[block] = rec;
-            }
-        } else {
-            for (auto &kv : pf_status_) {
-                ar.scalar(kv.first);
-                kv.second.visitState(ar);
-            }
-        }
+        pf_status_.visitState(ar);
         ar.scalar(peak_seq_entries_);
         ar.scalar(peak_div_entries_);
         if constexpr (Ar::kLoading) {
@@ -223,7 +205,7 @@ class RnrPrefetcher : public Prefetcher
     std::uint32_t last_window_ = 0;
 
     /** Timeliness classification of in-flight replay prefetches. */
-    std::unordered_map<Addr, PfRecord> pf_status_;
+    FlatMap<Addr, PfRecord> pf_status_;
 
     /** Peak metadata footprint across the whole run (Fig 13). */
     std::uint64_t peak_seq_entries_ = 0;

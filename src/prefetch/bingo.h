@@ -11,10 +11,9 @@
 #define RNR_PREFETCH_BINGO_H
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "prefetch/prefetcher.h"
+#include "sim/flat_table.h"
 
 namespace rnr {
 
@@ -35,28 +34,8 @@ class BingoPrefetcher : public Prefetcher
     visitState(Ar &ar)
     {
         visitBaseState(ar);
-        std::uint64_t n = active_.size();
-        ar.scalar(n);
-        if constexpr (Ar::kLoading) {
-            active_.clear();
-            if (!ckpt::checkCount(ar, n, 40))
-                return;
-            for (std::uint64_t i = 0; i < n; ++i) {
-                Addr region = 0;
-                ar.scalar(region);
-                Generation gen{};
-                gen.visitState(ar);
-                active_[region] = gen;
-            }
-        } else {
-            for (auto &kv : active_) {
-                ar.scalar(kv.first);
-                kv.second.visitState(ar);
-            }
-        }
-        ckpt::scalarList(ar, active_order_);
-        ckpt::kvMap(ar, history_);
-        ckpt::scalarList(ar, history_order_);
+        active_.visitState(ar);
+        history_.visitState(ar);
     }
 
   private:
@@ -78,23 +57,20 @@ class BingoPrefetcher : public Prefetcher
     };
 
     /** Commits a finished generation's footprint into the history. */
-    void commit(Addr region, const Generation &gen);
+    void commit(const Generation &gen);
     void historyInsert(std::uint64_t key, std::uint64_t footprint);
-    const std::uint64_t *historyFind(std::uint64_t key) const;
 
     static std::uint64_t pcAddrKey(std::uint32_t pc, Addr block);
     static std::uint64_t pcOffsetKey(std::uint32_t pc, unsigned offset);
 
     unsigned region_blocks_;
-    std::size_t history_cap_;
-    std::size_t active_cap_;
 
-    /** Region number -> in-flight generation being observed. */
-    std::unordered_map<Addr, Generation> active_;
-    std::list<Addr> active_order_; ///< FIFO for generation retirement.
+    /** Region number -> in-flight generation being observed; FIFO
+     *  order retires the oldest generation. */
+    LruTable<Addr, Generation> active_;
 
-    std::unordered_map<std::uint64_t, std::uint64_t> history_;
-    std::list<std::uint64_t> history_order_;
+    /** Event key -> footprint, FIFO-replaced. */
+    LruTable<std::uint64_t, std::uint64_t> history_;
 };
 
 } // namespace rnr

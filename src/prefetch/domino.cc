@@ -16,10 +16,11 @@ DominoPrefetcher::onAccess(const L2AccessInfo &info)
 
     // Predict using the (previous, current) pair.
     if (have_prev_) {
-        auto it = index_.find(pairKey(prev_miss_, info.block));
-        if (it != index_.end() && history_[it->second].valid &&
-            history_[it->second].block == info.block) {
-            std::size_t pos = it->second;
+        const std::size_t *last =
+            index_.find(pairKey(prev_miss_, info.block));
+        if (last && history_[*last].valid &&
+            history_[*last].block == info.block) {
+            const std::size_t pos = *last;
             for (unsigned d = 1; d <= degree_; ++d) {
                 const std::size_t next = (pos + d) % history_.size();
                 if (next == head_ || !history_[next].valid)

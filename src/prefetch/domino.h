@@ -13,10 +13,10 @@
 #define RNR_PREFETCH_DOMINO_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "sim/flat_table.h"
 
 namespace rnr {
 
@@ -37,7 +37,7 @@ class DominoPrefetcher : public Prefetcher
         visitBaseState(ar);
         ckpt::seq(ar, history_);
         ar.scalar(head_);
-        ckpt::kvMap(ar, index_);
+        index_.visitState(ar);
         ar.scalar(prev_miss_);
         ar.scalar(have_prev_);
     }
@@ -65,7 +65,7 @@ class DominoPrefetcher : public Prefetcher
     std::vector<Node> history_;
     std::size_t head_ = 0;
     /** (prev, cur) miss pair -> history position of `cur`. */
-    std::unordered_map<std::uint64_t, std::size_t> index_;
+    FlatMap<std::uint64_t, std::size_t> index_;
     Addr prev_miss_ = 0;
     bool have_prev_ = false;
     unsigned degree_;

@@ -15,10 +15,9 @@ GhbPrefetcher::onAccess(const L2AccessInfo &info)
 
     // Predict: follow the link to this block's previous occurrence and
     // prefetch the blocks recorded immediately after it.
-    auto it = index_.find(info.block);
-    if (it != index_.end() && buffer_[it->second].valid &&
-        buffer_[it->second].block == info.block) {
-        std::size_t pos = it->second;
+    const std::size_t *last = index_.find(info.block);
+    if (last && buffer_[*last].valid && buffer_[*last].block == info.block) {
+        const std::size_t pos = *last;
         for (unsigned d = 1; d <= degree_; ++d) {
             const std::size_t next = (pos + d) % buffer_.size();
             if (next == head_ || !buffer_[next].valid)
@@ -33,9 +32,9 @@ GhbPrefetcher::onAccess(const L2AccessInfo &info)
     if (node.valid) {
         // Overwriting the oldest entry: drop its index link if it still
         // points here (otherwise a newer occurrence owns the index).
-        auto old = index_.find(node.block);
-        if (old != index_.end() && old->second == head_)
-            index_.erase(old);
+        const std::size_t *old = index_.find(node.block);
+        if (old && *old == head_)
+            index_.erase(node.block);
     }
     node.block = info.block;
     node.valid = true;

@@ -13,10 +13,10 @@
 #define RNR_PREFETCH_GHB_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "sim/flat_table.h"
 
 namespace rnr {
 
@@ -37,7 +37,7 @@ class GhbPrefetcher : public Prefetcher
         visitBaseState(ar);
         ckpt::seq(ar, buffer_);
         ar.scalar(head_);
-        ckpt::kvMap(ar, index_);
+        index_.visitState(ar);
     }
 
   private:
@@ -56,7 +56,7 @@ class GhbPrefetcher : public Prefetcher
 
     std::vector<Node> buffer_;
     std::size_t head_ = 0; ///< Next write position (circular).
-    std::unordered_map<Addr, std::size_t> index_; ///< block -> last pos.
+    FlatMap<Addr, std::size_t> index_; ///< block -> last pos.
     unsigned degree_;
 };
 

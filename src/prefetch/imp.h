@@ -22,10 +22,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "sim/flat_table.h"
 
 namespace rnr {
 
@@ -73,7 +73,7 @@ class ImpPrefetcher : public Prefetcher
         ar.scalar(confirmed_);
         ar.pod(recent_values_);
         ar.scalar(recent_head_);
-        ckpt::kvMap(ar, candidates_);
+        candidates_.visitState(ar);
     }
 
   private:
@@ -101,7 +101,7 @@ class ImpPrefetcher : public Prefetcher
     std::uint64_t recent_head_ = 0;
 
     /** Vote counts per candidate (base*16+coeff) during training. */
-    std::unordered_map<std::uint64_t, unsigned> candidates_;
+    FlatMap<std::uint64_t, unsigned> candidates_;
 
     Counter &c_pattern_confirmed_;
 };

@@ -15,10 +15,9 @@
 #define RNR_PREFETCH_MISB_H
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "prefetch/prefetcher.h"
+#include "sim/flat_table.h"
 
 namespace rnr {
 
@@ -37,25 +36,17 @@ class MisbPrefetcher : public Prefetcher
     std::string name() const override { return "misb"; }
     RNR_CKPT_DECLARE_STATE_OVERRIDE();
 
-    /** The on-chip metadata cache maps key -> LRU-list iterator, which
-     *  cannot travel through an archive; only the LRU list itself is
-     *  serialized and the iterator map is rebuilt from it on load. */
     template <class Ar>
     void
     visitState(Ar &ar)
     {
         visitBaseState(ar);
-        ckpt::kvMap(ar, training_);
-        ckpt::kvMap(ar, ps_map_);
-        ckpt::kvMap(ar, sp_map_);
-        ckpt::kvMap(ar, stream_alloc_);
+        training_.visitState(ar);
+        ps_map_.visitState(ar);
+        sp_map_.visitState(ar);
+        stream_alloc_.visitState(ar);
         ar.scalar(next_stream_base_);
-        ckpt::scalarList(ar, meta_lru_);
-        if constexpr (Ar::kLoading) {
-            meta_cache_.clear();
-            for (auto it = meta_lru_.begin(); it != meta_lru_.end(); ++it)
-                meta_cache_[*it] = it;
-        }
+        meta_cache_.visitState(ar);
     }
 
   private:
@@ -65,24 +56,21 @@ class MisbPrefetcher : public Prefetcher
     void touchMetadata(std::uint64_t key, Tick now);
 
     unsigned degree_;
-    std::size_t metadata_cap_;
     Counter &c_metadata_cache_hits_;
     Counter &c_metadata_cache_misses_;
 
     /** Training unit: last missed block per PC. */
-    std::unordered_map<std::uint32_t, Addr> training_;
+    FlatMap<std::uint32_t, Addr> training_;
     /** Physical block -> structural address. */
-    std::unordered_map<Addr, std::uint64_t> ps_map_;
+    FlatMap<Addr, std::uint64_t> ps_map_;
     /** Structural address -> physical block. */
-    std::unordered_map<std::uint64_t, Addr> sp_map_;
+    FlatMap<std::uint64_t, Addr> sp_map_;
     /** Next free structural stream base, per PC. */
-    std::unordered_map<std::uint32_t, std::uint64_t> stream_alloc_;
+    FlatMap<std::uint32_t, std::uint64_t> stream_alloc_;
     std::uint64_t next_stream_base_ = 0;
 
-    /** On-chip metadata cache (keys are mapping-line ids). */
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        meta_cache_;
-    std::list<std::uint64_t> meta_lru_;
+    /** On-chip metadata cache, LRU (keys are mapping-line ids). */
+    LruTable<std::uint64_t> meta_cache_;
 
     /** Simulated VA where off-chip metadata lives (traffic addresses). */
     Addr metadata_base_ = 0x7f0000000000ull;

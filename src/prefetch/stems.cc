@@ -8,25 +8,21 @@ StemsPrefetcher::StemsPrefetcher(unsigned region_blocks,
                                  std::size_t pattern_entries)
     : region_blocks_(region_blocks),
       replay_depth_(replay_depth),
-      pattern_cap_(pattern_entries),
-      temporal_(temporal_entries)
+      temporal_(temporal_entries),
+      patterns_(pattern_entries)
 {
 }
 
 void
 StemsPrefetcher::patternInsert(Addr region, std::uint64_t footprint)
 {
-    auto it = patterns_.find(region);
-    if (it == patterns_.end()) {
-        if (patterns_.size() >= pattern_cap_ && !pattern_order_.empty()) {
-            patterns_.erase(pattern_order_.front());
-            pattern_order_.pop_front();
-        }
-        pattern_order_.push_back(region);
-        patterns_.emplace(region, footprint);
-    } else {
-        it->second |= footprint;
+    if (std::uint64_t *fp = patterns_.find(region)) {
+        *fp |= footprint;
+        return;
     }
+    if (patterns_.full())
+        patterns_.popFront();
+    patterns_.pushBack(region, footprint);
 }
 
 void
@@ -67,19 +63,16 @@ StemsPrefetcher::onAccess(const L2AccessInfo &info)
         (static_cast<std::uint64_t>(info.pc) << 32) ^ region;
 
     // Predict: replay the regions that followed this trigger last time.
-    auto it = index_.find(key);
-    if (it != index_.end() && temporal_[it->second].valid &&
-        temporal_[it->second].region == region) {
-        std::size_t pos = it->second;
+    const std::size_t *last = index_.find(key);
+    if (last && temporal_[*last].valid && temporal_[*last].region == region) {
+        const std::size_t pos = *last;
         for (unsigned d = 1; d <= replay_depth_; ++d) {
             const std::size_t next = (pos + d) % temporal_.size();
             if (next == head_ || !temporal_[next].valid)
                 break;
             const Addr r = temporal_[next].region;
-            auto pit = patterns_.find(r);
-            const std::uint64_t fp =
-                pit != patterns_.end() ? pit->second : 1;
-            prefetchRegion(r, fp, info.now, info.pc);
+            const std::uint64_t *pfp = patterns_.find(r);
+            prefetchRegion(r, pfp ? *pfp : 1, info.now, info.pc);
         }
     }
 
@@ -89,9 +82,9 @@ StemsPrefetcher::onAccess(const L2AccessInfo &info)
         const std::uint64_t old_key =
             (static_cast<std::uint64_t>(node.trigger_pc) << 32) ^
             node.region;
-        auto old = index_.find(old_key);
-        if (old != index_.end() && old->second == head_)
-            index_.erase(old);
+        const std::size_t *old = index_.find(old_key);
+        if (old && *old == head_)
+            index_.erase(old_key);
     }
     node.region = region;
     node.trigger_pc = info.pc;

@@ -15,11 +15,10 @@
 #define RNR_PREFETCH_STEMS_H
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "sim/flat_table.h"
 
 namespace rnr {
 
@@ -42,9 +41,8 @@ class StemsPrefetcher : public Prefetcher
         visitBaseState(ar);
         ckpt::seq(ar, temporal_);
         ar.scalar(head_);
-        ckpt::kvMap(ar, index_);
-        ckpt::kvMap(ar, patterns_);
-        ckpt::scalarList(ar, pattern_order_);
+        index_.visitState(ar);
+        patterns_.visitState(ar);
         ar.scalar(open_region_);
         ar.scalar(open_footprint_);
     }
@@ -71,17 +69,16 @@ class StemsPrefetcher : public Prefetcher
 
     unsigned region_blocks_;
     unsigned replay_depth_;
-    std::size_t pattern_cap_;
 
     /** Temporal log of region-trigger events (GHB over regions). */
     std::vector<TemporalNode> temporal_;
     std::size_t head_ = 0;
     /** (pc, region) trigger -> last temporal log position. */
-    std::unordered_map<std::uint64_t, std::size_t> index_;
+    FlatMap<std::uint64_t, std::size_t> index_;
 
-    /** Region -> last committed spatial footprint (SMS-like PST). */
-    std::unordered_map<Addr, std::uint64_t> patterns_;
-    std::list<Addr> pattern_order_;
+    /** Region -> last committed spatial footprint (SMS-like PST),
+     *  FIFO-replaced. */
+    LruTable<Addr, std::uint64_t> patterns_;
 
     /** Region currently being observed and its accumulating footprint. */
     Addr open_region_ = ~Addr{0};

@@ -29,25 +29,39 @@ TelemetrySampler::TelemetrySampler(Tick sample_cycles,
 {
 }
 
-TimeSeries &
-TelemetrySampler::addSeries(std::string name, Probe probe)
+TelemetrySampler::Source &
+TelemetrySampler::source(std::string name, Probe probe)
 {
+    for (Source &s : sources_) {
+        if (s.name == name) {
+            s.probe = std::move(probe);
+            return s;
+        }
+    }
     Source s;
     s.name = std::move(name);
     s.probe = std::move(probe);
     s.series = TimeSeries(series_capacity_);
     sources_.push_back(std::move(s));
-    return sources_.back().series;
+    return sources_.back();
+}
+
+TimeSeries &
+TelemetrySampler::addSeries(std::string name, Probe probe)
+{
+    Source &s = source(std::move(name), std::move(probe));
+    s.rate = false;
+    return s.series;
 }
 
 TimeSeries &
 TelemetrySampler::addRate(std::string name, Probe probe,
                           std::uint64_t scale)
 {
-    TimeSeries &ts = addSeries(std::move(name), std::move(probe));
-    sources_.back().rate = true;
-    sources_.back().scale = scale ? scale : 1;
-    return ts;
+    Source &s = source(std::move(name), std::move(probe));
+    s.rate = true;
+    s.scale = scale ? scale : 1;
+    return s.series;
 }
 
 TimeSeries &

@@ -207,7 +207,11 @@ class TelemetrySampler
     Tick sampleCycles() const { return period_; }
     std::uint64_t samplesTaken() const { return samples_; }
 
-    /** Registers a level/cumulative probe, sampled verbatim. */
+    /** Registers a level/cumulative probe, sampled verbatim.  A name
+     *  registered before keeps its one series and its points, and the
+     *  new probe replaces the old one (so attaching the same sampler
+     *  twice, or to a replacement component, samples each name once,
+     *  from the latest registration).  The same holds for addRate. */
     TimeSeries &addSeries(std::string name, Probe probe);
     /** Registers a cumulative probe sampled as a scaled per-cycle rate:
      *  value = delta(probe) * scale / delta(tick).  scale=1000 turns a
@@ -257,6 +261,10 @@ class TelemetrySampler
         Tick last_tick = 0;
         TimeSeries series;
     };
+
+    /** The source named @p name with @p probe installed: the existing
+     *  one, or a new one with an empty series. */
+    Source &source(std::string name, Probe probe);
 
     Tick period_;
     Tick next_ = 0;

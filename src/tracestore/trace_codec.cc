@@ -5,8 +5,8 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <unordered_map>
 
+#include "sim/flat_table.h"
 #include "tracestore/varint.h"
 
 namespace rnr {
@@ -45,19 +45,21 @@ get(std::istream &in, T &value)
 struct DeltaState {
     std::uint32_t prev_pc = 0;
     std::uint64_t last_mem_addr = 0;
-    std::unordered_map<std::uint32_t, std::uint64_t> site_last;
+    FlatMap<std::uint32_t, std::uint64_t> site_last;
 
-    std::uint64_t
-    baseFor(std::uint32_t pc) const
+    /** @p pc's delta base, held in its site_last entry (seeded with
+     *  last_mem_addr on the site's first record); pass it back to
+     *  noteMem with the record's address. */
+    std::uint64_t &
+    baseFor(std::uint32_t pc)
     {
-        const auto it = site_last.find(pc);
-        return it != site_last.end() ? it->second : last_mem_addr;
+        return *site_last.tryEmplace(pc, last_mem_addr).first;
     }
 
     void
-    noteMem(std::uint32_t pc, std::uint64_t addr)
+    noteMem(std::uint64_t &base, std::uint64_t addr)
     {
-        site_last[pc] = addr;
+        base = addr;
         last_mem_addr = addr;
     }
 };
@@ -86,9 +88,9 @@ encodeBlock(const TraceRecord *recs, std::size_t n,
             // access stream: store the address verbatim.
             putVarint(out, r.addr);
         } else {
-            const std::uint64_t base = st.baseFor(r.pc);
+            std::uint64_t &base = st.baseFor(r.pc);
             putVarint(out, zigzag(static_cast<std::int64_t>(r.addr - base)));
-            st.noteMem(r.pc, r.addr);
+            st.noteMem(base, r.addr);
         }
         if (r.aux != 0)
             putVarint(out, r.aux);
@@ -134,9 +136,9 @@ decodeBlock(const std::uint8_t *payload, std::size_t payload_bytes,
         if (kind == RecordKind::Control) {
             r.addr = v;
         } else {
-            r.addr = st.baseFor(r.pc) +
-                     static_cast<std::uint64_t>(unzigzag(v));
-            st.noteMem(r.pc, r.addr);
+            std::uint64_t &base = st.baseFor(r.pc);
+            r.addr = base + static_cast<std::uint64_t>(unzigzag(v));
+            st.noteMem(base, r.addr);
         }
         if (tag & kAuxFlag) {
             if (!getVarint(p, end, r.aux))

@@ -4,13 +4,16 @@
  * matrix: checkpoint at window k, restore, run to the end — the
  * IterStats and the sweep JSON must be byte-identical to the straight
  * run, for {pagerank, spcg} x {droplet, rnr} under both RNR_KERNEL
- * modes, including restoring under the kernel that did not capture.
+ * modes, including restoring under the kernel that did not capture, and
+ * for the flat-table baselines (misb, bingo, stems, ghb, domino, imp),
+ * whose snapshot sections must also re-serialise byte-identically.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,6 +25,7 @@
 #include "harness/result_cache.h"
 #include "harness/runner.h"
 #include "harness/sweep.h"
+#include "prefetch/factory.h"
 
 namespace rnr {
 namespace {
@@ -285,6 +289,50 @@ TEST_F(CheckpointTest, RestoreContinuationIsBitIdentical)
                 EXPECT_EQ(fileBytes(a), fileBytes(b)) << what;
             }
         }
+    }
+}
+
+TEST_F(CheckpointTest, FlatTablePrefetchersRestoreBitIdentically)
+{
+    // The baselines whose tables are FlatMap/LruTable (sim/flat_table.h):
+    // restore-and-continue is bit-identical, and their snapshot section
+    // re-serialises to the same bytes (save -> load -> save), so the
+    // tables' serialisation does not depend on their insertion history.
+    for (PrefetcherKind pf :
+         {PrefetcherKind::Misb, PrefetcherKind::Bingo, PrefetcherKind::Stems,
+          PrefetcherKind::Ghb, PrefetcherKind::Domino, PrefetcherKind::Imp}) {
+        ExperimentConfig cfg = smallConfig("pagerank", pf);
+        cfg.input = "amazon";
+        cfg.iterations = 2;
+        const std::string what = toString(pf);
+
+        const ExperimentResult straight = runExperimentUncached(cfg);
+        std::vector<std::uint8_t> blob;
+        const ExperimentResult snapped =
+            runExperimentCheckpointed(cfg, 1, blob);
+        expectSameResult(straight, snapped, what + " (snapshotting run)");
+        const ExperimentResult resumed =
+            runExperimentFromSnapshot(cfg, blob);
+        expectSameResult(straight, resumed, what + " (restored run)");
+
+        ckpt::SnapshotReader reader;
+        ASSERT_TRUE(reader.parse(blob).ok()) << what;
+        ckpt::Deser section = reader.section(ckpt::SectionId::Prefetchers);
+        std::vector<std::uint8_t> saved(section.remaining());
+        section.raw(saved.data(), saved.size());
+
+        ckpt::Deser in(saved);
+        std::vector<std::unique_ptr<Prefetcher>> loaded;
+        for (unsigned c = 0; c < cfg.cores; ++c) {
+            loaded.push_back(createPrefetcher(pf));
+            loaded.back()->loadState(in);
+        }
+        ASSERT_TRUE(in.ok()) << what << ": " << in.error();
+        EXPECT_EQ(in.remaining(), 0u) << what;
+        ckpt::Ser again;
+        for (const auto &p : loaded)
+            p->saveState(again);
+        EXPECT_EQ(again.buffer(), saved) << what;
     }
 }
 

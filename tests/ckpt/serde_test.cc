@@ -6,13 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ckpt/serde.h"
+#include "sim/flat_table.h"
 #include "sim/types.h"
 
 namespace rnr {
@@ -106,26 +105,33 @@ TEST(CkptSerde, ContainersRoundTrip)
 {
     Ser s;
     std::vector<Pair> pairs = {{1, 2}, {3, 4}};
-    std::list<std::uint64_t> order = {9, 7, 5};
-    std::unordered_map<std::uint64_t, std::uint64_t> m = {{1, 10},
-                                                          {2, 20}};
+    LruTable<std::uint64_t> order(4);
+    for (std::uint64_t k : {9, 7, 5})
+        order.pushBack(k);
+    FlatMap<std::uint64_t, std::uint64_t> m;
+    m[2] = 20;
+    m[1] = 10;
     seq(s, pairs);
-    scalarList(s, order);
-    kvMap(s, m);
+    order.visitState(s);
+    m.visitState(s);
 
     Deser de(s.buffer());
     std::vector<Pair> pairs2;
-    std::list<std::uint64_t> order2;
-    std::unordered_map<std::uint64_t, std::uint64_t> m2;
+    LruTable<std::uint64_t> order2(4);
+    FlatMap<std::uint64_t, std::uint64_t> m2;
     seq(de, pairs2);
-    scalarList(de, order2);
-    kvMap(de, m2);
+    order2.visitState(de);
+    m2.visitState(de);
     EXPECT_TRUE(de.ok());
     ASSERT_EQ(pairs2.size(), 2u);
     EXPECT_EQ(pairs2[1].a, 3u);
     EXPECT_EQ(pairs2[1].b, 4u);
-    EXPECT_EQ(order2, order);
-    EXPECT_EQ(m2, m);
+    std::vector<std::uint64_t> keys;
+    order2.forEach([&](std::uint64_t k, NoValue) { keys.push_back(k); });
+    EXPECT_EQ(keys, (std::vector<std::uint64_t>{9, 7, 5}));
+    ASSERT_EQ(m2.size(), 2u);
+    EXPECT_EQ(*m2.find(1), 10u);
+    EXPECT_EQ(*m2.find(2), 20u);
 }
 
 TEST(CkptSerde, TruncationLatchesFirstFailure)
@@ -160,8 +166,8 @@ TEST(CkptSerde, CorruptCountCannotOverAllocate)
     EXPECT_TRUE(v.empty());
 
     Deser de2(s.buffer());
-    std::unordered_map<std::uint64_t, std::uint64_t> m;
-    kvMap(de2, m);
+    FlatMap<std::uint64_t, std::uint64_t> m;
+    m.visitState(de2);
     EXPECT_FALSE(de2.ok());
     EXPECT_TRUE(m.empty());
 }

@@ -7,7 +7,8 @@
  *  - the harvested blob carries the RnR replay-lane series (n_pace,
  *    metadata-buffer fill) plus the memory-system occupancy series;
  *  - a 2-core rnr-combined run registers exactly the documented series
- *    and histograms (no rename, drop or double registration);
+ *    and histograms (no rename, drop or double registration), also
+ *    when the sampler is attached twice;
  *  - buildSweepReport + reportJson emit a valid rnr-report-v2 document
  *    (telemetry plus the embedded rnr-attrib-v1 attribution object);
  *  - reportHtml is one self-contained page (inline SVG, no fetches);
@@ -17,15 +18,18 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cpu/system.h"
 #include "harness/json_parse.h"
 #include "harness/report.h"
 #include "harness/runner.h"
+#include "prefetch/factory.h"
 #include "sim/timeseries.h"
 
 namespace rnr {
@@ -126,6 +130,34 @@ TEST_F(ReportFixture, BlobCarriesTheReplayLaneAndMemorySeries)
     EXPECT_FALSE(blob.histograms.empty());
 }
 
+/** The docs/HARNESS.md §13 series table, expanded for two cores. */
+const std::vector<std::string> kDocumentedSeries = {
+    "core0.ipc_milli",
+    "core0.l2_mshr_occupancy",
+    "core0.l2_pf_queue_depth",
+    "core1.ipc_milli",
+    "core1.l2_mshr_occupancy",
+    "core1.l2_pf_queue_depth",
+    "dram.read_queue_depth",
+    "dram.write_queue_depth",
+    "rnr.core0.div_buffer_bytes",
+    "rnr.core0.n_pace",
+    "rnr.core0.seq_buffer_bytes",
+    "rnr.core1.div_buffer_bytes",
+    "rnr.core1.n_pace",
+    "rnr.core1.seq_buffer_bytes",
+};
+
+std::vector<std::string>
+seriesNames(const TelemetryBlob &blob)
+{
+    std::vector<std::string> names;
+    for (const TelemetrySeriesBlob &s : blob.series)
+        names.push_back(s.name);
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
 TEST_F(ReportFixture, RnrCombinedRegistersExactlyTheDocumentedProbes)
 {
     // The docs/HARNESS.md §13 table, expanded for two cores: a probe
@@ -137,27 +169,7 @@ TEST_F(ReportFixture, RnrCombinedRegistersExactlyTheDocumentedProbes)
     const ExperimentResult r = runExperimentInstrumented(cfg, {.tm = &tm});
     ASSERT_NE(r.telemetry, nullptr);
 
-    std::vector<std::string> series;
-    for (const TelemetrySeriesBlob &s : r.telemetry->series)
-        series.push_back(s.name);
-    std::sort(series.begin(), series.end());
-    const std::vector<std::string> want_series = {
-        "core0.ipc_milli",
-        "core0.l2_mshr_occupancy",
-        "core0.l2_pf_queue_depth",
-        "core1.ipc_milli",
-        "core1.l2_mshr_occupancy",
-        "core1.l2_pf_queue_depth",
-        "dram.read_queue_depth",
-        "dram.write_queue_depth",
-        "rnr.core0.div_buffer_bytes",
-        "rnr.core0.n_pace",
-        "rnr.core0.seq_buffer_bytes",
-        "rnr.core1.div_buffer_bytes",
-        "rnr.core1.n_pace",
-        "rnr.core1.seq_buffer_bytes",
-    };
-    EXPECT_EQ(series, want_series);
+    EXPECT_EQ(seriesNames(*r.telemetry), kDocumentedSeries);
 
     std::vector<std::string> histograms;
     for (const TelemetryHistogramBlob &h : r.telemetry->histograms)
@@ -168,6 +180,53 @@ TEST_F(ReportFixture, RnrCombinedRegistersExactlyTheDocumentedProbes)
         "l2.prefetch_fill_latency",
     };
     EXPECT_EQ(histograms, want_histograms);
+}
+
+/** A 2-core rnr-combined machine with its prefetchers installed. */
+struct RnrCombinedMachine {
+    System sys;
+    std::vector<std::unique_ptr<Prefetcher>> pfs;
+
+    RnrCombinedMachine() : sys(twoCores())
+    {
+        for (unsigned c = 0; c < 2; ++c) {
+            pfs.push_back(createPrefetcher(PrefetcherKind::RnrCombined));
+            sys.mem().setPrefetcher(c, pfs.back().get());
+        }
+    }
+
+    static MachineConfig
+    twoCores()
+    {
+        MachineConfig m = MachineConfig::scaledDefault();
+        m.cores = 2;
+        return m;
+    }
+};
+
+TEST_F(ReportFixture, AttachingTwiceKeepsOneSeriesPerProbe)
+{
+    // The same sampler attached twice to one machine, then to a second
+    // machine that outlives the first: each documented series is listed
+    // once, and sampling reads only the latest attach's components (the
+    // first machine is gone by then, so a stale probe would read freed
+    // memory, which the sanitizer build reports).
+    TelemetrySampler tm(512);
+    auto first = std::make_unique<RnrCombinedMachine>();
+    first->sys.attach({.tm = &tm});
+    first->sys.attach({.tm = &tm});
+    EXPECT_EQ(tm.seriesCount(), kDocumentedSeries.size());
+    EXPECT_EQ(seriesNames(tm.harvest()), kDocumentedSeries);
+
+    RnrCombinedMachine second;
+    second.sys.attach({.tm = &tm});
+    first.reset();
+    tm.sample(512);
+    tm.sample(1024);
+    const TelemetryBlob blob = tm.harvest();
+    EXPECT_EQ(seriesNames(blob), kDocumentedSeries);
+    for (const TelemetrySeriesBlob &s : blob.series)
+        EXPECT_EQ(s.points.size(), 2u) << s.name;
 }
 
 TEST_F(ReportFixture, ReportJsonIsValidAndCompleteRnrReportV2)
