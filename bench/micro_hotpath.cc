@@ -37,10 +37,9 @@
  * gate, the shape every cache/memory-system hook has when RNR_ATTRIB is
  * off.
  *
- * BM_Kernel/{batched,legacy} measure the full stack instead — trace
- * feed, CoreModel inner loop, memory system — under each simulation
- * kernel (sim/kernel.h), so the batched-vs-legacy speedup is the
- * headline number of docs/PERF.md and the pair CI gates together.
+ * BM_Kernel measures the full stack instead — trace feed, CoreModel
+ * inner loop, memory system — so its rate against BM_DemandAccess/none
+ * is what the core-side loop costs; CI gates it with the rest.
  *
  * The checkpoint subsystem (src/ckpt) adds three rows:
  *  - BM_CheckpointSaveRestore: the full rnr-ckpt-v1 roundtrip on a
@@ -73,7 +72,6 @@
 #include "prefetch/factory.h"
 #include "sim/attrib.h"
 #include "sim/config.h"
-#include "sim/kernel.h"
 #include "sim/timeseries.h"
 #include "workloads/graph_gen.h"
 #include "workloads/pagerank.h"
@@ -138,7 +136,7 @@ BM_DemandAccessSampled(benchmark::State &state)
         createPrefetcher(PrefetcherKind::None);
     ms.setPrefetcher(0, pf.get());
 
-    // The core model normally drives sampling from step(); here the
+    // The core model normally drives sampling from stepRun(); here the
     // bench plays that role, offering the clock once per op like a
     // one-op cycle batch would.
     TelemetrySampler tm(kDefaultSampleCycles);
@@ -243,13 +241,13 @@ BM_DemandAccessAttribGated(benchmark::State &state)
 }
 
 /**
- * Whole-kernel A/B: a one-core System consumes the hot trace through
- * CoreModel under the requested kernel mode.  Items are trace records
- * (mem ops), so the rate is directly comparable to BM_DemandAccess —
- * the delta between them is what the core-side loop costs.
+ * Whole stack: a one-core System consumes the hot trace through
+ * CoreModel.  Items are trace records (mem ops), so the rate is
+ * directly comparable to BM_DemandAccess — the delta between them is
+ * what the core-side loop costs.
  */
 void
-BM_Kernel(benchmark::State &state, KernelMode mode)
+BM_Kernel(benchmark::State &state)
 {
     static const TraceBuffer &buf = *[] {
         static TraceBuffer b;
@@ -259,7 +257,7 @@ BM_Kernel(benchmark::State &state, KernelMode mode)
     }();
     MachineConfig mcfg = MachineConfig::scaledDefault();
     mcfg.cores = 1;
-    System sys(mcfg, mode);
+    System sys(mcfg);
     std::unique_ptr<Prefetcher> pf =
         createPrefetcher(PrefetcherKind::None);
     sys.mem().setPrefetcher(0, pf.get());
@@ -291,7 +289,7 @@ BM_CheckpointSaveRestore(benchmark::State &state)
     }();
     MachineConfig mcfg = MachineConfig::scaledDefault();
     mcfg.cores = 1;
-    System sys(mcfg, KernelMode::Batched);
+    System sys(mcfg);
     std::unique_ptr<Prefetcher> pf =
         createPrefetcher(PrefetcherKind::Stream);
     sys.mem().setPrefetcher(0, pf.get());
@@ -400,10 +398,7 @@ BENCHMARK_CAPTURE(BM_DemandAccess, bingo, PrefetcherKind::Bingo)
 BENCHMARK(BM_DemandAccessSampled)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessObsGated)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DemandAccessAttribGated)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Kernel, batched, rnr::KernelMode::Batched)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Kernel, legacy, rnr::KernelMode::Legacy)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Kernel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CheckpointSaveRestore)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupGenerate)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WarmupFork)->Unit(benchmark::kMillisecond);

@@ -17,8 +17,7 @@
  *    DRAM queue, TLB, core, prefetcher (including the whole RnR
  *    tables/FSM) plus the harness's per-iteration results so far.
  *    Restoring and continuing is bit-identical to the uninterrupted
- *    run (tests/ckpt/checkpoint_test.cc enforces it for both
- *    RNR_KERNEL modes).
+ *    run (tests/ckpt/checkpoint_test.cc enforces it).
  *
  * Wire layout (all integers 8 LE bytes, strings length-prefixed):
  *
@@ -65,7 +64,7 @@ struct CorruptSnapshot : std::runtime_error {
  *  Section test iterate this list, so adding a section updates the
  *  enum, the names and the coverage assertion in one edit. */
 #define RNR_CKPT_SECTIONS(X)                                                  \
-    X(Meta, 1)        /* kernel mode, cores, total iterations        */       \
+    X(Meta, 1)        /* 0 (reserved), cores, total iterations       */       \
     X(Input, 2)       /* generated workload input (CSR arrays)       */       \
     X(Workload, 3)    /* workload-held replay state (reserved)       */       \
     X(System, 4)      /* cores + caches + TLBs + DRAM (System tree)  */       \

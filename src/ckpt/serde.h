@@ -285,7 +285,8 @@ class Deser
                  std::to_string(pos_) + " of " + std::to_string(n_));
             return false;
         }
-        std::memcpy(out, p_ + pos_, n);
+        if (n != 0) // an empty vector's data() may be null
+            std::memcpy(out, p_ + pos_, n);
         pos_ += n;
         return true;
     }

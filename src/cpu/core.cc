@@ -1,16 +1,14 @@
 #include "cpu/core.h"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
 #include "sim/timeseries.h"
 
 namespace rnr {
 
-CoreModel::CoreModel(unsigned id, const CoreConfig &cfg, MemorySystem *ms,
-                     KernelMode kernel)
-    : id_(id), cfg_(cfg), ms_(ms), kernel_(kernel),
+CoreModel::CoreModel(unsigned id, const CoreConfig &cfg, MemorySystem *ms)
+    : id_(id), cfg_(cfg), ms_(ms),
       rob_(cfg.rob_size), lsq_(cfg.lsq_size),
       stats_("core" + std::to_string(id)),
       c_loads_(stats_.declare("loads")),
@@ -63,16 +61,6 @@ CoreModel::refillRun()
     run_pos_ = 0;
     run_len_ = n;
     return true;
-}
-
-bool
-CoreModel::doneSlow()
-{
-    if (!src_)
-        return true;
-    if (kernel_ == KernelMode::Legacy)
-        return src_->done();
-    return !refillRun();
 }
 
 Tick
@@ -192,40 +180,17 @@ CoreModel::execute(const TraceRecord &rec)
     last_completion_ = std::max(last_completion_, completion);
 }
 
-void
-CoreModel::step()
-{
-    assert(!done());
-    if (kernel_ == KernelMode::Legacy) {
-        if (tm_)
-            tm_->maybeSample(issue_clock_);
-        execute(src_->take());
-        return;
-    }
-    if (run_pos_ >= run_len_ && !refillRun())
-        return; // contract violation (step() past done()); be inert
-    if (tm_)
-        tm_->maybeSample(issue_clock_);
-    execute(run_[run_pos_++]);
-}
-
 std::size_t
 CoreModel::stepRun(std::size_t max_records)
 {
-    if (kernel_ == KernelMode::Legacy) {
-        std::size_t i = 0;
-        for (; i < max_records && !done(); ++i)
-            step();
-        return i;
-    }
     if (run_pos_ >= run_len_ && !refillRun())
         return 0;
     const std::size_t n = std::min(max_records, run_len_ - run_pos_);
     const TraceRecord *rec = run_ + run_pos_;
     run_pos_ += n;
     if (tm_) {
-        // Sampling stays at the same logical point as step(): once per
-        // record, before it executes, at the pre-record clock.
+        // Sampling happens once per record, before it executes, at the
+        // pre-record clock.
         for (std::size_t i = 0; i < n; ++i) {
             tm_->maybeSample(issue_clock_);
             execute(rec[i]);

@@ -9,16 +9,14 @@
  * MSHR file and the DRAM queues, exactly the resources ChampSim bounds it
  * with).  Retirement is in order.
  *
- * Two inner loops exist (sim/kernel.h).  The batched kernel stages a
- * whole trace block via TraceSource::takeBlock() and executes it as a
- * tight run — one virtual call per ~4096 records instead of two per
- * record (done() + take()), with the ROB/LSQ on masked rings instead of
- * deques.  The legacy kernel is the seed per-record path, kept behind
- * RNR_KERNEL=legacy as the bit-identical reference.  Both funnel every
- * record through the same execute() body, so the timing model itself
- * has exactly one definition.  This runs at tens of millions of trace
- * records per second, which is what lets the benches sweep the paper's
- * full prefetcher x input matrix.
+ * The inner loop stages a whole trace block via
+ * TraceSource::takeBlock() and executes it as a tight run: one virtual
+ * call per ~4096 records, with the ROB/LSQ on masked rings.  Every
+ * record goes through one execute() body, the timing model's only
+ * definition.  This runs at tens of millions of trace records per
+ * second, which is what lets the benches sweep the paper's full
+ * prefetcher x input matrix.  Golden digests pin its output
+ * (tests/harness/golden_digest_test.cc, tests/cpu/system_golden_test.cc).
  */
 #ifndef RNR_CPU_CORE_H
 #define RNR_CPU_CORE_H
@@ -30,7 +28,6 @@
 #include "ckpt/serde.h"
 #include "mem/memory_system.h"
 #include "sim/config.h"
-#include "sim/kernel.h"
 #include "sim/ring.h"
 #include "sim/stats.h"
 #include "trace/trace_buffer.h"
@@ -42,8 +39,7 @@ namespace rnr {
 class CoreModel
 {
   public:
-    CoreModel(unsigned id, const CoreConfig &cfg, MemorySystem *ms,
-              KernelMode kernel = kernelModeFromEnv());
+    CoreModel(unsigned id, const CoreConfig &cfg, MemorySystem *ms);
 
     /** Points the core at a materialised trace (wrapped in an internal
      *  BufferSource); position resets, the clock does not. */
@@ -59,11 +55,11 @@ class CoreModel
 
     /**
      * Attaches @p p (sim/probes.h): ControlRecord events go to p.tr;
-     * p.tm gets this core's milli-IPC rate series, and step() offers
-     * the local clock to it — the cores collectively drive the whole
-     * machine's sampling, since System::drive() interleaves them in
-     * local-time order.  p.at is unused (attribution is observed at
-     * the L2s and the prefetchers).
+     * p.tm gets this core's milli-IPC rate series, and stepRun()
+     * offers the local clock to it before every record — the cores
+     * collectively drive the whole machine's sampling, since
+     * System::drive() interleaves them in local-time order.  p.at is
+     * unused (attribution is observed at the L2s and the prefetchers).
      */
     void attach(const Probes &p);
 
@@ -72,8 +68,8 @@ class CoreModel
     done()
     {
         if (run_pos_ < run_len_)
-            return false; // staged records remain (batched kernel)
-        return doneSlow();
+            return false; // staged records remain
+        return !refillRun();
     }
 
     /** Current issue-stage time; the System schedules on this. */
@@ -85,17 +81,14 @@ class CoreModel
      */
     Tick finishTime() const;
 
-    /** Processes the next trace record. */
-    void step();
-
     /**
-     * Batched entry point: processes up to @p max_records records from
-     * the staged run (refilling it from the source at block boundaries)
-     * and returns how many were executed — 0 means the feed is
-     * exhausted.  One call touches at most one staged run, so a driver
-     * that wants exactly N records loops until its quota is consumed;
-     * System::drive() relies on this to keep the multi-core interleave
-     * identical to the legacy kernel's.
+     * Processes up to @p max_records records from the staged run
+     * (refilling it from the source at block boundaries) and returns
+     * how many were executed — 0 means the feed is exhausted.  One call
+     * touches at most one staged run, so a driver that wants exactly N
+     * records loops until its quota is consumed; System::drive() relies
+     * on this to keep its 8-record interleave independent of where
+     * trace blocks end.
      */
     std::size_t stepRun(std::size_t max_records);
 
@@ -104,7 +97,6 @@ class CoreModel
 
     std::uint64_t instructionsRetired() const { return instrs_; }
     unsigned id() const { return id_; }
-    KernelMode kernel() const { return kernel_; }
     StatGroup &stats() { return stats_; }
 
     /**
@@ -116,9 +108,9 @@ class CoreModel
     /**
      * Checkpoint visitor: clocks, ROB/LSQ contents and retirement
      * bookkeeping.  Checkpoints are taken at iteration boundaries, so
-     * the staged batched-kernel run must be fully drained — asserted on
-     * save, and cleared on load (the resumed run re-stages from its own
-     * trace source, which the harness re-materialises per iteration).
+     * the staged run must be fully drained — asserted on save, and
+     * cleared on load (the resumed run re-stages from its own trace
+     * source, which the harness re-materialises per iteration).
      */
     template <class Ar>
     void
@@ -154,13 +146,11 @@ class CoreModel
         }
     };
 
-    /** The timing model for one record; shared by both kernels. */
+    /** The timing model for one record. */
     void execute(const TraceRecord &rec);
 
     /** Stages the source's next run; false when the feed is dry. */
     bool refillRun();
-
-    bool doneSlow();
 
     void advanceIssue(std::uint64_t instr_count);
     void reserveRobSlots(std::uint32_t slots);
@@ -169,14 +159,13 @@ class CoreModel
     unsigned id_;
     CoreConfig cfg_;
     MemorySystem *ms_;
-    KernelMode kernel_;
     TraceSource *src_ = nullptr;
     BufferSource buffer_source_; ///< Backs setTrace(); src_ points here.
     TraceCollector *tr_ = nullptr; ///< Null unless tracing is enabled.
     TelemetrySampler *tm_ = nullptr; ///< Null unless sampling is enabled.
 
-    /** Staged run (batched kernel): a view into the source's storage,
-     *  valid until the next takeBlock() on that source. */
+    /** Staged run: a view into the source's storage, valid until the
+     *  next takeBlock() on that source. */
     const TraceRecord *run_ = nullptr;
     std::size_t run_pos_ = 0;
     std::size_t run_len_ = 0;

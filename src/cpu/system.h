@@ -6,6 +6,8 @@
  * across cores in local-time order so that shared resources (LLC, DRAM)
  * observe a near-globally-ordered request stream — the same effect as
  * ChampSim's lockstep O(1)-cycle loop at a fraction of the cost.
+ * Each pick runs the earliest core for exactly 8 records, wherever its
+ * trace blocks end; tests/cpu/system_golden_test.cc pins the result.
  */
 #ifndef RNR_CPU_SYSTEM_H
 #define RNR_CPU_SYSTEM_H
@@ -16,7 +18,6 @@
 #include "cpu/core.h"
 #include "mem/memory_system.h"
 #include "sim/config.h"
-#include "sim/kernel.h"
 #include "trace/trace_buffer.h"
 
 namespace rnr {
@@ -34,11 +35,7 @@ struct IterationResult {
 class System
 {
   public:
-    /** @p kernel picks the core inner loop (default: RNR_KERNEL env);
-     *  see sim/kernel.h.  Both kernels are bit-identical by contract —
-     *  the legacy one exists as the verification reference. */
-    explicit System(const MachineConfig &cfg,
-                    KernelMode kernel = kernelModeFromEnv());
+    explicit System(const MachineConfig &cfg);
 
     MemorySystem &mem() { return mem_; }
     CoreModel &core(unsigned i) { return *cores_[i]; }

@@ -16,7 +16,6 @@
 #include "obs/log.h"
 #include "harness/system_counters.h"
 #include "sim/attrib.h"
-#include "sim/kernel.h"
 #include "sim/timeseries.h"
 #include "sim/trace_event.h"
 #include "tracestore/trace_reader.h"
@@ -153,8 +152,8 @@ struct Sim {
 
 /**
  * Executes the workload natively and simulates from the materialised
- * buffers (the legacy path, and the store's capture path when @p cap
- * is non-null).
+ * buffers (the path without a trace store, and the store's capture
+ * path when @p cap is non-null).
  */
 ExperimentResult
 runMaterialized(const ExperimentConfig &cfg, const Probes &probes,
@@ -251,12 +250,10 @@ snapshotSim(const ExperimentConfig &cfg, Sim &sim, unsigned window)
     ckpt::SnapshotWriter w(
         ckpt::SnapshotHeader{cfg.workloadKey(), cfg.key(), window});
     {
-        // Echo only: restoring under the other RNR_KERNEL mode is
-        // legal (the kernels are bit-identical by contract); inspect
-        // just shows which mode captured.
+        // Reserved word, always 0: nothing reads it, and dropping it
+        // would change the rnr-ckpt-v1 layout.
         ckpt::Ser &s = w.section(ckpt::SectionId::Meta);
-        s.scalar(std::uint64_t{
-            kernelModeFromEnv() == KernelMode::Legacy ? 1u : 0u});
+        s.scalar(std::uint64_t{0});
         s.scalar(std::uint64_t{cfg.cores});
         s.scalar(std::uint64_t{cfg.iterations});
     }

@@ -95,8 +95,7 @@ runExperimentCheckpointed(const ExperimentConfig &cfg, unsigned window,
  * continues to cfg.iterations.  The workload is fast-forwarded
  * natively (its numerics re-run; nothing is simulated), then the
  * System/Prefetchers/Harness sections are loaded, so the returned
- * result is bit-identical to the uninterrupted run — under either
- * RNR_KERNEL mode, including the one that did not capture.  Throws
+ * result is bit-identical to the uninterrupted run.  Throws
  * ckpt::CorruptSnapshot on a truncated/corrupt/mismatched blob.
  */
 ExperimentResult

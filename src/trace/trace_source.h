@@ -10,21 +10,15 @@
  * v2 trace file (tracestore/trace_reader.h, the replay path) with only
  * one decoded block resident per core.
  *
- * The contract is single-pass: done() may be called repeatedly (and may
- * refill an internal block on the way); take() requires !done() and
- * consumes exactly one record.
- *
- * The batched kernel (sim/kernel.h) pulls whole runs instead via
- * takeBlock(): the source hands back a pointer into its own storage
- * (zero-copy for BufferSource and StreamingTraceReader) and marks that
- * run consumed.  take() and takeBlock() may be interleaved freely; both
- * drain the same underlying position.
+ * The contract is one virtual, takeBlock(): the source hands back a
+ * pointer to a run of records in its own storage (zero-copy for
+ * BufferSource and StreamingTraceReader) and marks that run consumed.
+ * The stream is single-pass; an empty run means it is exhausted.
  */
 #ifndef RNR_TRACE_TRACE_SOURCE_H
 #define RNR_TRACE_TRACE_SOURCE_H
 
 #include <cstddef>
-#include <vector>
 
 #include "trace/trace_buffer.h"
 
@@ -34,39 +28,14 @@ namespace rnr {
 class TraceSource
 {
   public:
-    /** Run length the default takeBlock() stages at a time; matches the
-     *  trace store's kDefaultBlockRecords (128 KiB of records). */
-    static constexpr std::size_t kMaxBlockRecords = 4096;
-
     virtual ~TraceSource() = default;
-
-    /** True when the stream is exhausted.  May refill internally. */
-    virtual bool done() = 0;
-
-    /** Consumes and returns the next record; requires !done(). */
-    virtual TraceRecord take() = 0;
 
     /**
      * Consumes a run of records at once: returns a pointer to @p n
      * consecutive records (valid until the next call on this source)
      * and advances past them, or nullptr with n = 0 at end of stream.
-     * Overrides return views into their own storage; this fallback
-     * adapts any per-record source by staging up to kMaxBlockRecords
-     * into an internal buffer, so custom test sources keep working
-     * under the batched kernel unchanged.
      */
-    virtual const TraceRecord *
-    takeBlock(std::size_t &n)
-    {
-        staged_.clear();
-        while (staged_.size() < kMaxBlockRecords && !done())
-            staged_.push_back(take());
-        n = staged_.size();
-        return n ? staged_.data() : nullptr;
-    }
-
-  private:
-    std::vector<TraceRecord> staged_; ///< Backs the fallback takeBlock().
+    virtual const TraceRecord *takeBlock(std::size_t &n) = 0;
 };
 
 /** TraceSource over a caller-owned, fully materialised buffer. */
@@ -76,23 +45,11 @@ class BufferSource final : public TraceSource
     BufferSource() = default;
     explicit BufferSource(const TraceBuffer *buf) : buf_(buf) {}
 
-    bool
-    done() override
-    {
-        return !buf_ || pos_ >= buf_->size();
-    }
-
-    TraceRecord
-    take() override
-    {
-        return buf_->records()[pos_++];
-    }
-
     /** Zero-copy: the whole remaining buffer is one run. */
     const TraceRecord *
     takeBlock(std::size_t &n) override
     {
-        if (done()) {
+        if (!buf_ || pos_ >= buf_->size()) {
             n = 0;
             return nullptr;
         }

@@ -40,8 +40,11 @@ class StreamingTraceReader final : public TraceSource
     /** Opens @p path and positions at the first record. */
     TraceIoResult open(const std::string &path);
 
-    bool done() override;
-    TraceRecord take() override;
+    /** Per-record reads for whole-file loaders (tracestore/
+     *  trace_file.cc): done() may refill the next block; take()
+     *  requires !done(). */
+    bool done();
+    TraceRecord take();
 
     /** Zero-copy: the rest of the decoded block is one run. */
     const TraceRecord *takeBlock(std::size_t &n) override;

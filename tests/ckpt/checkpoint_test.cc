@@ -1,12 +1,12 @@
 /**
  * @file
- * rnr-ckpt-v1 container tests plus the tentpole's restore-fidelity
- * matrix: checkpoint at window k, restore, run to the end — the
- * IterStats and the sweep JSON must be byte-identical to the straight
- * run, for {pagerank, spcg} x {droplet, rnr} under both RNR_KERNEL
- * modes, including restoring under the kernel that did not capture, and
- * for the flat-table baselines (misb, bingo, stems, ghb, domino, imp),
- * whose snapshot sections must also re-serialise byte-identically.
+ * rnr-ckpt-v1 container tests plus the restore-fidelity matrix:
+ * checkpoint at window k, restore, run to the end — the IterStats and
+ * the sweep JSON must be byte-identical to the straight run, for
+ * {pagerank, spcg} x {droplet, rnr} at window 1, for pagerank/rnr at
+ * window 2, and for the flat-table baselines (misb, bingo, stems, ghb,
+ * domino, imp), whose snapshot sections must also re-serialise
+ * byte-identically.
  */
 #include <gtest/gtest.h>
 
@@ -47,7 +47,6 @@ class CheckpointTest : public ::testing::Test
         fs::remove_all(root_);
         setenv("RNR_CKPT_DIR", root_.c_str(), 1);
         unsetenv("RNR_CKPT");
-        unsetenv("RNR_KERNEL");
         // Hermetic: no result cache, no trace corpus, no progress bars.
         setenv("RNR_CACHE", "0", 1);
         setenv("RNR_TRACE_STORE", "0", 1);
@@ -63,7 +62,6 @@ class CheckpointTest : public ::testing::Test
         ckpt::CheckpointStore::instance().resetForTest();
         ckpt::resetInputForkForTest();
         unsetenv("RNR_CKPT_DIR");
-        unsetenv("RNR_KERNEL");
         fs::remove_all(root_);
     }
 
@@ -231,6 +229,16 @@ TEST_F(CheckpointTest, SnapshotCoversEverySection)
     ASSERT_TRUE(full.parse(full_blob).ok());
     EXPECT_EQ(full.header().workload_key, cfg.workloadKey());
     EXPECT_EQ(full.header().full_key, cfg.key());
+    // Meta: a reserved word (always 0), then cores and iterations.
+    ckpt::Deser meta = full.section(ckpt::SectionId::Meta);
+    std::uint64_t reserved_word = 1, cores = 0, iterations = 0;
+    meta.scalar(reserved_word);
+    meta.scalar(cores);
+    meta.scalar(iterations);
+    ASSERT_TRUE(meta.ok());
+    EXPECT_EQ(reserved_word, 0u);
+    EXPECT_EQ(cores, cfg.cores);
+    EXPECT_EQ(iterations, cfg.iterations);
 
     std::vector<std::uint8_t> input_blob;
     ASSERT_TRUE(ckpt::CheckpointStore::instance().tryLoad(
@@ -256,39 +264,38 @@ TEST_F(CheckpointTest, SnapshotCoversEverySection)
 
 TEST_F(CheckpointTest, RestoreContinuationIsBitIdentical)
 {
-    for (const char *kernel : {"batched", "legacy"}) {
-        if (std::string(kernel) == "legacy")
-            setenv("RNR_KERNEL", "legacy", 1);
-        else
-            unsetenv("RNR_KERNEL");
-        for (const std::string app : {"pagerank", "spcg"}) {
-            for (PrefetcherKind pf :
-                 {PrefetcherKind::Droplet, PrefetcherKind::Rnr}) {
-                const ExperimentConfig cfg = smallConfig(app, pf);
-                const std::string what = std::string(kernel) + "/" +
-                                         app + "/" + toString(pf);
+    struct Case {
+        const char *app;
+        PrefetcherKind pf;
+        unsigned window;
+    };
+    // Window 1 over the app x prefetcher matrix; window 2 restores RnR
+    // tables that have already replayed once.
+    for (const Case &c : {Case{"pagerank", PrefetcherKind::Droplet, 1},
+                          Case{"pagerank", PrefetcherKind::Rnr, 1},
+                          Case{"spcg", PrefetcherKind::Droplet, 1},
+                          Case{"spcg", PrefetcherKind::Rnr, 1},
+                          Case{"pagerank", PrefetcherKind::Rnr, 2}}) {
+        const ExperimentConfig cfg = smallConfig(c.app, c.pf);
+        const std::string what = std::string(c.app) + "/" +
+                                 toString(c.pf) + "/w" +
+                                 std::to_string(c.window);
 
-                const ExperimentResult straight =
-                    runExperimentUncached(cfg);
-                std::vector<std::uint8_t> blob;
-                const ExperimentResult snapped =
-                    runExperimentCheckpointed(cfg, 1, blob);
-                expectSameResult(straight, snapped,
-                                 what + " (snapshotting run)");
+        const ExperimentResult straight = runExperimentUncached(cfg);
+        std::vector<std::uint8_t> blob;
+        const ExperimentResult snapped =
+            runExperimentCheckpointed(cfg, c.window, blob);
+        expectSameResult(straight, snapped, what + " (snapshotting run)");
 
-                const ExperimentResult resumed =
-                    runExperimentFromSnapshot(cfg, blob);
-                expectSameResult(straight, resumed,
-                                 what + " (restored run)");
+        const ExperimentResult resumed = runExperimentFromSnapshot(cfg, blob);
+        expectSameResult(straight, resumed, what + " (restored run)");
 
-                // Sweep JSON: byte-identical exports.
-                const std::string a = root_ + "/straight.json";
-                const std::string b = root_ + "/resumed.json";
-                ASSERT_TRUE(writeResultsJson(a, {straight}, "fidelity"));
-                ASSERT_TRUE(writeResultsJson(b, {resumed}, "fidelity"));
-                EXPECT_EQ(fileBytes(a), fileBytes(b)) << what;
-            }
-        }
+        // Sweep JSON: byte-identical exports.
+        const std::string a = root_ + "/straight.json";
+        const std::string b = root_ + "/resumed.json";
+        ASSERT_TRUE(writeResultsJson(a, {straight}, "fidelity"));
+        ASSERT_TRUE(writeResultsJson(b, {resumed}, "fidelity"));
+        EXPECT_EQ(fileBytes(a), fileBytes(b)) << what;
     }
 }
 
@@ -334,22 +341,6 @@ TEST_F(CheckpointTest, FlatTablePrefetchersRestoreBitIdentically)
             p->saveState(again);
         EXPECT_EQ(again.buffer(), saved) << what;
     }
-}
-
-TEST_F(CheckpointTest, CrossKernelRestoreIsBitIdentical)
-{
-    // Capture under the batched kernel, restore under legacy: legal by
-    // the kernel-parity contract, and still bit-identical.
-    const ExperimentConfig cfg =
-        smallConfig("pagerank", PrefetcherKind::Rnr);
-    unsetenv("RNR_KERNEL");
-    const ExperimentResult straight = runExperimentUncached(cfg);
-    std::vector<std::uint8_t> blob;
-    (void)runExperimentCheckpointed(cfg, 2, blob);
-
-    setenv("RNR_KERNEL", "legacy", 1);
-    const ExperimentResult resumed = runExperimentFromSnapshot(cfg, blob);
-    expectSameResult(straight, resumed, "batched-capture/legacy-restore");
 }
 
 TEST_F(CheckpointTest, CorruptSnapshotThrowsTypedAndStoreRecaptures)

@@ -74,17 +74,22 @@ TEST(CkptSerde, PodAndStringRoundTrip)
 {
     Ser s;
     std::vector<std::uint16_t> v = {1, 2, 65535};
+    std::vector<std::uint64_t> empty;
     std::string name = "rnr-ckpt";
     s.pod(v);
+    s.pod(empty);
     s.str(name);
 
     Deser de(s.buffer());
     std::vector<std::uint16_t> v2;
+    std::vector<std::uint64_t> empty2;
     std::string name2;
     de.pod(v2);
+    de.pod(empty2);
     de.str(name2);
     EXPECT_TRUE(de.ok());
     EXPECT_EQ(v2, v);
+    EXPECT_TRUE(empty2.empty());
     EXPECT_EQ(name2, name);
 }
 

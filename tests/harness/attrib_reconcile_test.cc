@@ -7,8 +7,7 @@
  *     for every prefetcher family (the tables may fold, the totals may
  *     not drift).
  *  2. **Observation only** — enabling attribution leaves every
- *     IterStats field bit-identical, under both the batched kernel and
- *     RNR_KERNEL=legacy.
+ *     IterStats field bit-identical.
  *
  * The file cache and trace store are disabled so every run is a real
  * simulation (a cache hit would carry no attrib blob by design).
@@ -30,16 +29,10 @@ struct AttribReconcileFixture : ::testing::Test {
     {
         setenv("RNR_CACHE", "0", 1);
         setenv("RNR_TRACE_STORE", "0", 1);
-        unsetenv("RNR_KERNEL");
         unsetenv("RNR_ATTRIB");
     }
 
-    void
-    TearDown() override
-    {
-        unsetenv("RNR_KERNEL");
-        unsetenv("RNR_ATTRIB");
-    }
+    void TearDown() override { unsetenv("RNR_ATTRIB"); }
 
     /** IterStats counter summed over every simulated iteration. */
     static std::uint64_t
@@ -196,17 +189,6 @@ TEST_F(AttribReconcileFixture, ObservationOnlyUnderBatchedKernel)
     cfg.input = "amazon";
     cfg.iterations = 2;
     cfg.prefetcher = PrefetcherKind::Rnr;
-    expectObservationOnly(cfg);
-}
-
-TEST_F(AttribReconcileFixture, ObservationOnlyUnderLegacyKernel)
-{
-    ExperimentConfig cfg;
-    cfg.app = "pagerank";
-    cfg.input = "amazon";
-    cfg.iterations = 2;
-    cfg.prefetcher = PrefetcherKind::Rnr;
-    setenv("RNR_KERNEL", "legacy", 1);
     expectObservationOnly(cfg);
 }
 

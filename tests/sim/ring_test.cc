@@ -1,50 +1,14 @@
 /**
  * @file
- * Unit tests for the simulation-kernel plumbing: RNR_KERNEL mode
- * selection (sim/kernel.h) and the Ring FIFO backing the core model's
- * ROB/LSQ queues (sim/ring.h).
+ * Unit tests for the Ring FIFO backing the core model's ROB/LSQ queues
+ * (sim/ring.h).
  */
-#include <cstdlib>
-
 #include <gtest/gtest.h>
 
-#include "sim/kernel.h"
 #include "sim/ring.h"
 
 namespace rnr {
 namespace {
-
-class KernelModeEnvTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override { unsetenv("RNR_KERNEL"); }
-    void TearDown() override { unsetenv("RNR_KERNEL"); }
-};
-
-TEST_F(KernelModeEnvTest, UnsetDefaultsToBatched)
-{
-    EXPECT_EQ(kernelModeFromEnv(), KernelMode::Batched);
-}
-
-TEST_F(KernelModeEnvTest, LegacySelectsSeedPath)
-{
-    setenv("RNR_KERNEL", "legacy", 1);
-    EXPECT_EQ(kernelModeFromEnv(), KernelMode::Legacy);
-}
-
-TEST_F(KernelModeEnvTest, UnknownValueFallsBackToBatched)
-{
-    setenv("RNR_KERNEL", "turbo", 1);
-    EXPECT_EQ(kernelModeFromEnv(), KernelMode::Batched);
-    setenv("RNR_KERNEL", "", 1);
-    EXPECT_EQ(kernelModeFromEnv(), KernelMode::Batched);
-}
-
-TEST(KernelModeTest, NamesAreStable)
-{
-    EXPECT_STREQ(kernelModeName(KernelMode::Batched), "batched");
-    EXPECT_STREQ(kernelModeName(KernelMode::Legacy), "legacy");
-}
 
 TEST(RingTest, StartsEmpty)
 {
